@@ -25,7 +25,7 @@ import (
 )
 
 // runScenario runs one trace-driven scenario from the matrix and prints
-// its Result as JSON — the same shape BENCH_scenarios.json aggregates.
+// its Result as JSON.
 func runScenario(spec, transport string) error {
 	if spec == "list" {
 		for _, name := range scenario.Names() {

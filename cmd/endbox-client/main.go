@@ -27,7 +27,6 @@ import (
 	"sync"
 	"time"
 
-	"endbox/internal/attest"
 	"endbox/internal/click"
 	"endbox/internal/config"
 	"endbox/internal/core"
@@ -115,6 +114,68 @@ func saveLKG(path string, v uint64) {
 	}
 }
 
+// connect joins the server through core.Join — the same sequence a
+// Deployment runs for its own clients. The boot configuration is the
+// server's current one, fetched and verified as soon as the CA key is known
+// (paper §III-E: the config server is publicly readable so clients can
+// always obtain up-to-date configurations before connecting); a non-empty
+// pipeline overrides its Click text, compiled against the fetched rule sets
+// so a typo fails before the enclave is even created. With a resume state
+// the join is one MsgResume round trip; a stale ticket (server restart,
+// eviction past the ticket TTL) is recoverable: the state file is discarded
+// and the client attests from scratch. It returns the CA key the client
+// ended up trusting, for the next run's resume state.
+func connect(ctx context.Context, link core.ClientLink, state *resumeFile, resumePath, pipeline string, opts core.ClientOptions) (*core.Client, ed25519.PublicKey, error) {
+	var trusted ed25519.PublicKey
+	jo := core.JoinOptions{
+		Client: opts,
+		Boot: func(caPub ed25519.PublicKey, o *core.ClientOptions) error {
+			trusted = caPub
+			blob, err := link.FetchConfig(ctx, 0)
+			if err != nil {
+				return fmt.Errorf("initial configuration: %w", err)
+			}
+			initial, err := config.Open(blob, caPub, nil)
+			if err != nil {
+				return fmt.Errorf("initial configuration: %w", err)
+			}
+			fmt.Printf("boot configuration v%d fetched (%d rule sets)\n", initial.Version, len(initial.RuleSets))
+			o.ClickConfig, o.RuleSets, o.ConfigVersion = initial.ClickConfig, initial.RuleSets, initial.Version
+			if pipeline != "" {
+				if o.ClickConfig, err = mbox.Compile(mbox.Raw(pipeline), initial.RuleSets); err != nil {
+					return fmt.Errorf("-pipeline: %w", err)
+				}
+				fmt.Println("boot configuration overridden by -pipeline")
+			}
+			return nil
+		},
+	}
+	if state != nil {
+		jo.Client.CAPub = state.CAPub
+		jo.Resume = &core.ResumeState{
+			ClientID:       state.ClientID,
+			SealedIdentity: state.SealedIdentity,
+			Secret:         state.Secret,
+			Ticket:         state.Ticket,
+		}
+		fmt.Println("resume state loaded; skipping platform registration and attestation")
+		cli, err := core.Join(ctx, link, jo)
+		if err == nil {
+			fmt.Println("VPN resumed (no attestation, no key exchange)")
+			return cli, trusted, nil
+		}
+		log.Printf("fast resume: %v; falling back to full attestation", err)
+		os.Remove(resumePath)
+		jo.Client.CAPub, jo.Resume = nil, nil
+	}
+	cli, err := core.Join(ctx, link, jo)
+	if err != nil {
+		return nil, nil, err
+	}
+	fmt.Println("enclave created, attested and provisioned; VPN connected")
+	return cli, trusted, nil
+}
+
 func main() {
 	if err := run(); err != nil {
 		log.Fatal(err)
@@ -132,7 +193,6 @@ func run() error {
 		timeout     = flag.Duration("timeout", 30*time.Second, "attestation/handshake deadline")
 		arqTimeout  = flag.Duration("arq-timeout", 200*time.Millisecond, "initial control-path retransmit timeout")
 		arqRetries  = flag.Int("arq-retries", 5, "control-path retransmit budget per transfer")
-		arqOff      = flag.Bool("arq-off", false, "disable the control-path ARQ layer (fire-and-forget)")
 		lossDrop    = flag.Float64("loss", 0, "simulated control-path drop probability [0,1] (demo/testing)")
 		lossDup     = flag.Float64("loss-dup", 0, "simulated duplicate probability [0,1]")
 		lossReorder = flag.Float64("loss-reorder", 0, "simulated reorder probability [0,1]")
@@ -152,7 +212,6 @@ func run() error {
 		udptransport.LinkRetransmit(udptransport.RetransmitConfig{
 			Timeout:    *arqTimeout,
 			MaxRetries: *arqRetries,
-			Disable:    *arqOff,
 		}),
 	}
 	if *lossDrop > 0 || *lossDup > 0 || *lossReorder > 0 {
@@ -192,8 +251,6 @@ func run() error {
 		}
 	}
 
-	cpu := sgx.NewCPU("machine-" + *id)
-
 	// RTT bookkeeping for the tunnelled pings. Replies arrive on the
 	// link's dispatch goroutine, so the state is mutex-guarded.
 	var (
@@ -224,131 +281,28 @@ func run() error {
 		}
 	}
 
-	var caPub ed25519.PublicKey
-	establish := func(st *resumeFile) (*core.Client, error) {
-		var qe *attest.QuotingEnclave
-		if st != nil {
-			caPub = st.CAPub
-			fmt.Println("resume state loaded; skipping platform registration and attestation")
-		} else {
-			// Platform setup: CPU, quoting enclave, IAS registration
-			// (which also returns the CA public key that real deployments
-			// bake into the enclave image at build time).
-			var err error
-			qe, err = attest.NewQuotingEnclave(cpu, "platform-"+*id)
-			if err != nil {
-				return nil, err
+	cli, caPub, err := connect(ctx, link, state, *resumePath, *pipeline, core.ClientOptions{
+		ID:            *id,
+		BuildVersion:  *build,
+		CPU:           sgx.NewCPU("machine-" + *id),
+		Mode:          sgx.ModeHardware,
+		BatchEcalls:   true,
+		FlowCapacity:  *flowCap,
+		FlowTTL:       *flowTTL,
+		FailurePolicy: click.FailurePolicy{Contain: true},
+		LKGVersion:    lkg,
+		OnElementFault: func(f click.ElementFault) {
+			if f.Quarantined {
+				log.Printf("element %s quarantined after repeated panics; self-reverting to last-known-good", f.Element)
+			} else {
+				log.Printf("element %s fault contained: %v", f.Element, f.Err)
 			}
-			caPub, err = link.Register(ctx, qe.PlatformID(), qe.VerificationKey())
-			if err != nil {
-				return nil, fmt.Errorf("register: %w", err)
-			}
-			fmt.Println("platform registered; CA key received")
-		}
-
-		// Fetch the current middlebox configuration before connecting
-		// (paper §III-E: the config server is publicly readable so clients
-		// can always obtain up-to-date configurations before connecting).
-		blob, err := link.FetchConfig(ctx, 0)
-		if err != nil {
-			return nil, fmt.Errorf("initial configuration: %w", err)
-		}
-		initial, err := config.Open(blob, caPub, nil)
-		if err != nil {
-			return nil, fmt.Errorf("initial configuration: %w", err)
-		}
-		fmt.Printf("boot configuration v%d fetched (%d rule sets)\n", initial.Version, len(initial.RuleSets))
-
-		// An explicit -pipeline overrides the fetched boot configuration;
-		// it is compiled and validated here (against the fetched rule sets)
-		// so a typo fails before the enclave is even created.
-		bootCfg := initial.ClickConfig
-		if *pipeline != "" {
-			bootCfg, err = mbox.Compile(mbox.Raw(*pipeline), initial.RuleSets)
-			if err != nil {
-				return nil, fmt.Errorf("-pipeline: %w", err)
-			}
-			fmt.Println("boot configuration overridden by -pipeline")
-		}
-
-		copts := core.ClientOptions{
-			ID:            *id,
-			BuildVersion:  *build,
-			CPU:           cpu,
-			Mode:          sgx.ModeHardware,
-			CAPub:         caPub,
-			ClickConfig:   bootCfg,
-			RuleSets:      initial.RuleSets,
-			ConfigVersion: initial.Version,
-			BatchEcalls:   true,
-			FlowCapacity:  *flowCap,
-			FlowTTL:       *flowTTL,
-			FailurePolicy: click.FailurePolicy{Contain: true},
-			LKGVersion:    lkg,
-			OnElementFault: func(f click.ElementFault) {
-				if f.Quarantined {
-					log.Printf("element %s quarantined after repeated panics; self-reverting to last-known-good", f.Element)
-				} else {
-					log.Printf("element %s fault contained: %v", f.Element, f.Err)
-				}
-			},
-			OnUpdateFailed: func(version uint64, err error) {
-				log.Printf("configuration v%d rejected: %v (server notified)", version, err)
-			},
-			FetchConfig: func(v uint64) ([]byte, error) { return link.FetchConfig(context.Background(), v) },
-			Send:        link.SendFrame,
-			SendControl: link.SendControlFrame,
-			Deliver:     deliver,
-		}
-		if st != nil {
-			copts.SealedIdentity = st.SealedIdentity
-		} else {
-			copts.QE = qe
-			copts.Enroll = func(q attest.Quote) (*attest.Provision, error) { return link.Enroll(ctx, q) }
-		}
-		cli, err := core.NewClient(copts)
-		if err != nil {
-			return nil, err
-		}
-
-		// Pump inbound frames into the client, then establish the session.
-		link.SetDeliver(func(frame []byte) error {
-			if err := cli.HandleFrame(frame); err != nil {
-				log.Printf("inbound frame: %v", err)
-			}
-			return nil
-		})
-		if st != nil {
-			err = cli.Resume(ctx, st.Secret, st.Ticket, func(r *vpn.ResumeRequest) (*vpn.ResumeReply, error) {
-				return link.Resume(ctx, r)
-			})
-			if err != nil {
-				cli.Close()
-				return nil, fmt.Errorf("fast resume: %w", err)
-			}
-			fmt.Println("VPN resumed (no attestation, no key exchange)")
-			return cli, nil
-		}
-		fmt.Println("enclave created, attested and provisioned")
-		err = cli.Connect(ctx, func(hello *vpn.ClientHello) (*vpn.ServerHello, error) {
-			return link.Hello(ctx, hello)
-		})
-		if err != nil {
-			cli.Close()
-			return nil, fmt.Errorf("VPN handshake: %w", err)
-		}
-		fmt.Println("VPN connected")
-		return cli, nil
-	}
-
-	cli, err := establish(state)
-	if err != nil && state != nil {
-		// A stale ticket (server restart, eviction past the ticket TTL)
-		// is recoverable: discard the state and attest from scratch.
-		log.Printf("%v; falling back to full attestation", err)
-		os.Remove(*resumePath)
-		cli, err = establish(nil)
-	}
+		},
+		OnUpdateFailed: func(version uint64, err error) {
+			log.Printf("configuration v%d rejected: %v (server notified)", version, err)
+		},
+		Deliver: deliver,
+	})
 	if err != nil {
 		return err
 	}

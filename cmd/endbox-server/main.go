@@ -47,7 +47,6 @@ func run() error {
 		udpWorkers  = flag.Int("udp-workers", 0, "ingress worker pool size (0 = single serve goroutine)")
 		arqTimeout  = flag.Duration("arq-timeout", 200*time.Millisecond, "initial control-path retransmit timeout")
 		arqRetries  = flag.Int("arq-retries", 5, "control-path retransmit budget per transfer")
-		arqOff      = flag.Bool("arq-off", false, "disable the control-path ARQ layer (fire-and-forget, pre-reliability behaviour)")
 		lossDrop    = flag.Float64("loss", 0, "simulated control-path drop probability [0,1] (demo/testing)")
 		lossDup     = flag.Float64("loss-dup", 0, "simulated duplicate probability [0,1]")
 		lossReorder = flag.Float64("loss-reorder", 0, "simulated reorder probability [0,1]")
@@ -127,7 +126,6 @@ func run() error {
 		endbox.WithRetransmit(endbox.RetransmitConfig{
 			Timeout:    *arqTimeout,
 			MaxRetries: *arqRetries,
-			Disable:    *arqOff,
 		}),
 		endbox.WithLossProfile(endbox.LossProfile{
 			Drop:         *lossDrop,
@@ -242,10 +240,7 @@ func run() error {
 		}()
 	}
 
-	arqState := fmt.Sprintf("ARQ on, rto %v, %d retries", *arqTimeout, *arqRetries)
-	if *arqOff {
-		arqState = "ARQ off"
-	}
+	arqState := fmt.Sprintf("ARQ rto %v, %d retries", *arqTimeout, *arqRetries)
 	if *lossDrop > 0 || *lossDup > 0 || *lossReorder > 0 {
 		arqState += fmt.Sprintf(", simulated loss %.0f%%", *lossDrop*100)
 	}

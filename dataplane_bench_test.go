@@ -1,9 +1,9 @@
 package endbox
 
-// Benchmarks for the sharded, pipelined server data plane. The headline
-// comparison — monolithic (1-shard, the pre-dataplane single-lock table)
-// vs. sharded at 1/8/64 clients — seeds BENCH_dataplane.json; the batched
-// ingress benchmark mirrors BenchmarkBatchSend for the receive direction.
+// Benchmarks for the sharded, pipelined server data plane at 1/8/64
+// clients; the batched ingress benchmark mirrors BenchmarkBatchSend for the
+// receive direction. The repo benchmark (benchmark/) is what judges
+// changes; these are for looking at one path in isolation.
 
 import (
 	"context"
@@ -36,64 +36,51 @@ func benchDeployment(b *testing.B, clients int, opts ...Option) (*Deployment, []
 }
 
 // BenchmarkDataPlaneThroughput measures the client->network path with many
-// clients sending concurrently, comparing the monolithic session table
-// (shards=1) against the sharded one. Each goroutine is pinned to one
-// client, so the measured contention is the server's: session lookup,
-// statistics and policy — exactly what the sharding attacks.
+// clients sending lone packets concurrently over the sharded session
+// table. Each goroutine is pinned to one client, so the measured contention
+// is the server's: session lookup, statistics and policy — exactly what
+// the sharding attacks.
 func BenchmarkDataPlaneThroughput(b *testing.B) {
 	for _, clients := range []int{1, 8, 64} {
-		for _, cfg := range []struct {
-			name   string
-			shards int
-		}{
-			{"monolithic", 1},
-			{"sharded", 16},
-		} {
-			b.Run(fmt.Sprintf("%s/clients=%d", cfg.name, clients), func(b *testing.B) {
-				_, cls := benchDeployment(b, clients, WithShards(cfg.shards))
-				pkt := testPacket(1500)
-				var next atomic.Int64
-				b.ReportAllocs()
-				b.SetBytes(1500)
-				b.SetParallelism(clients) // >= one goroutine per client even on 1 CPU
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					cli := cls[int(next.Add(1)-1)%clients]
-					for pb.Next() {
-						if err := cli.SendPacket(pkt); err != nil {
-							b.Error(err)
-							return
-						}
+		b.Run(fmt.Sprintf("sharded/clients=%d", clients), func(b *testing.B) {
+			_, cls := benchDeployment(b, clients, WithShards(16))
+			pkt := testPacket(1500)
+			var next atomic.Int64
+			b.ReportAllocs()
+			b.SetBytes(1500)
+			b.SetParallelism(clients) // >= one goroutine per client even on 1 CPU
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				cli := cls[int(next.Add(1)-1)%clients]
+				for pb.Next() {
+					if err := cli.SendPacket(pkt); err != nil {
+						b.Error(err)
+						return
 					}
-				})
+				}
 			})
-		}
+		})
 	}
 }
 
-// BenchmarkDataPlanePath is the acceptance comparison: the shipped data
-// plane (sharded session table + batched ecalls) against the monolithic
-// baseline (1-shard table, one ecall per packet) on hardware-mode clients,
-// where every saved enclave transition is real CPU time. Both rows move
-// the same bytes; MB/s is directly comparable.
+// BenchmarkDataPlanePath drives the shipped data plane (sharded session
+// table, one ecall per 32-packet burst) on hardware-mode clients, where
+// every enclave transition is real CPU time.
 func BenchmarkDataPlanePath(b *testing.B) {
 	const batchSize = 32
 	for _, clients := range []int{8, 64} {
 		for _, cfg := range []struct {
 			name      string
-			shards    int
-			batched   bool
 			conntrack bool
 		}{
-			{"monolithic", 1, false, false},
-			{"sharded+batched", 16, true, false},
-			// The stateful variant pins that adding flow tracking to the
-			// in-enclave pipeline does not add per-batch allocations to
-			// the shipped data plane.
-			{"sharded+batched+conntrack", 16, true, true},
+			{"sharded+batched", false},
+			// The stateful variant shows what flow tracking in the
+			// in-enclave pipeline adds (TestBatchedBurstAllocs pins that it
+			// adds no allocations).
+			{"sharded+batched+conntrack", true},
 		} {
 			b.Run(fmt.Sprintf("%s/clients=%d", cfg.name, clients), func(b *testing.B) {
-				d, err := New(WithShards(cfg.shards))
+				d, err := New(WithShards(16))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -122,18 +109,9 @@ func BenchmarkDataPlanePath(b *testing.B) {
 				b.RunParallel(func(pb *testing.PB) {
 					cli := cls[int(next.Add(1)-1)%clients]
 					for pb.Next() {
-						if cfg.batched {
-							if _, err := cli.SendPackets(batch); err != nil {
-								b.Error(err)
-								return
-							}
-						} else {
-							for _, pkt := range batch {
-								if err := cli.SendPacket(pkt); err != nil {
-									b.Error(err)
-									return
-								}
-							}
+						if _, err := cli.SendPackets(batch); err != nil {
+							b.Error(err)
+							return
 						}
 					}
 				})

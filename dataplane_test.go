@@ -7,11 +7,15 @@ package endbox
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
 	"endbox/internal/packet"
+	"endbox/internal/vpn"
+	"endbox/internal/wire"
+	"endbox/mbox"
 )
 
 // TestSharded64ClientsConcurrent drives 64 clients through one deployment
@@ -238,5 +242,112 @@ func TestHandleFramesBatchIngress(t *testing.T) {
 	defer mu.Unlock()
 	if received != burst {
 		t.Errorf("applications received %d packets, want %d", received, burst)
+	}
+}
+
+// TestLonePacketErrorIdentity pins that a lone SendPacket or HandleFrame —
+// a slab of one across the enclave boundary — still reports WHY a packet
+// went nowhere: the result slab's status codes rebuild errors that unwrap
+// to the sentinel raised inside the enclave, over either transport.
+func TestLonePacketErrorIdentity(t *testing.T) {
+	blocked := packet.AddrFrom(203, 0, 113, 9)
+	inside, outside := packet.AddrFrom(10, 8, 0, 2), packet.AddrFrom(192, 0, 2, 1)
+	for _, tc := range []struct {
+		name      string
+		transport func() Transport
+	}{
+		{"in-process", NewInProcessTransport},
+		{"udp", func() Transport { return NewUDPTransport("127.0.0.1:0") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ct := &captureTransport{Transport: tc.transport(), capture: true}
+			d, err := New(WithTransport(ct))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			cli, err := d.AddClient(context.Background(), "lone", ClientSpec{
+				Mode:     ModeSimulation,
+				Pipeline: mbox.Raw("FromDevice -> IPFilter(drop dst host 203.0.113.9, drop src host 203.0.113.9, allow all) -> ToDevice;"),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// sealed returns one genuinely sealed server->client frame.
+			sealed := func(src packet.Addr) []byte {
+				t.Helper()
+				if err := d.Server.VPN().SendTo("lone", packet.NewUDP(src, inside, 80, 40000, []byte("reply")), false); err != nil {
+					t.Fatal(err)
+				}
+				frames := ct.take()
+				if len(frames) != 1 {
+					t.Fatalf("captured %d frames, want 1", len(frames))
+				}
+				return frames[0]
+			}
+			// Frames are opened in place, so every attempt gets its own copy.
+			clone := func(f []byte) []byte { return append([]byte(nil), f...) }
+
+			if err := cli.SendPacket(packet.NewUDP(inside, blocked, 40000, 80, []byte("exfil"))); !errors.Is(err, vpn.ErrDropped) {
+				t.Errorf("egress to a blocked host: err = %v, want vpn.ErrDropped", err)
+			}
+			good := sealed(outside)
+			tampered := clone(good)
+			tampered[len(tampered)-1] ^= 1
+			if err := cli.HandleFrame(tampered); !errors.Is(err, wire.ErrAuthFailed) {
+				t.Errorf("tampered frame: err = %v, want wire.ErrAuthFailed", err)
+			}
+			if err := cli.HandleFrame(clone(good)); err != nil {
+				t.Errorf("genuine frame: %v", err)
+			}
+			if err := cli.HandleFrame(clone(good)); !errors.Is(err, wire.ErrReplay) {
+				t.Errorf("replayed frame: err = %v, want wire.ErrReplay", err)
+			}
+			if err := cli.HandleFrame(sealed(blocked)); !errors.Is(err, vpn.ErrDropped) {
+				t.Errorf("ingress from a blocked host: err = %v, want vpn.ErrDropped", err)
+			}
+		})
+	}
+}
+
+// TestBatchedBurstAllocs pins the burst path of the shipped data plane
+// (sharded table, one ecall per burst): a 32-packet burst costs three
+// allocations in total — the ecall boxes — not one per packet, stateless
+// or with flow tracking in the pipeline.
+func TestBatchedBurstAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const burst, want = 32, 3
+	for _, tc := range []struct {
+		name     string
+		pipeline Pipeline
+	}{
+		{"nop", mbox.Stock(UseCaseNOP)},
+		{"conntrack", mbox.Chain(mbox.ConnTrack(mbox.ConnTrackOptions{}))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := New(WithShards(16))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			cli, err := d.AddClient(context.Background(), "burst", ClientSpec{Mode: ModeHardware, Pipeline: tc.pipeline})
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch := make([][]byte, burst)
+			for i := range batch {
+				batch[i] = testPacket(1500)
+			}
+			got := testing.AllocsPerRun(100, func() {
+				if n, err := cli.SendPackets(batch); err != nil || n != burst {
+					t.Fatalf("SendPackets = %d, %v", n, err)
+				}
+			})
+			if got > want {
+				t.Errorf("%d-packet burst = %.1f allocs, want <= %d", burst, got, want)
+			}
+		})
 	}
 }

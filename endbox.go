@@ -60,11 +60,6 @@ import (
 // publish updates simultaneously.
 type Deployment = core.Deployment
 
-// DeploymentOptions configures a Deployment. New applications should
-// prefer New with functional options; this struct remains the stable
-// underlying representation (and the migration path for pre-v1 callers).
-type DeploymentOptions = core.DeploymentOptions
-
 // ClientSpec configures one client joining a deployment.
 type ClientSpec = core.ClientSpec
 
@@ -72,8 +67,8 @@ type ClientSpec = core.ClientSpec
 // crypto and the Click middlebox, plus the untrusted runtime around it.
 type Client = core.Client
 
-// ClientOptions configures a standalone client (NewDeployment/AddClient
-// wires these automatically; construct directly for custom transports).
+// ClientOptions configures a standalone client (AddClient wires these
+// automatically; construct directly for custom transports).
 type ClientOptions = core.ClientOptions
 
 // Server is the managed network's server side: VPN endpoint, configuration
@@ -168,8 +163,7 @@ type CanaryResult = core.CanaryResult
 // FailurePolicy tunes element fault containment inside client enclaves:
 // the trip threshold that quarantines a repeatedly panicking element and
 // whether a quarantined stage fails closed (drop, the default) or open
-// (bypass). Set it with WithFailurePolicy; containment itself is on by
-// default (WithoutContainment opts out).
+// (bypass). Set it with WithFailurePolicy; containment itself is always on.
 type FailurePolicy = click.FailurePolicy
 
 // ElementFault is one containment event in a client's pipeline — a
@@ -337,17 +331,11 @@ var ErrMeasurementDenied = attest.ErrMeasurementDenied
 // New builds the operator side of an EndBox system from functional
 // options. With no options it is an encrypted in-process deployment.
 func New(opts ...Option) (*Deployment, error) {
-	var o DeploymentOptions
+	var o core.DeploymentOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
 	return core.NewDeployment(o)
-}
-
-// NewDeployment builds a Deployment from an options struct — the pre-v1
-// construction path, kept for callers migrating to New.
-func NewDeployment(opts DeploymentOptions) (*Deployment, error) {
-	return core.NewDeployment(opts)
 }
 
 // NewInProcessTransport returns the default transport: clients linked to

@@ -109,6 +109,5 @@ func run() error {
 	st := transport.ARQStats()
 	fmt.Printf("server ARQ: %d transfers, %d segments sent, %d retransmitted (%d fast), %d acks, %d duplicate segments absorbed\n",
 		st.TransfersSent, st.SegmentsSent, st.Retransmits+st.FastRetransmit, st.FastRetransmit, st.AcksSent, st.DupSegments)
-	fmt.Println("rerun with RetransmitConfig{Disable: true} to watch the same rollout fail")
 	return nil
 }

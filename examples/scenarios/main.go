@@ -18,8 +18,8 @@
 //     traffic still work once the attack stops.
 //
 // The same properties are asserted programmatically by the ddos-flood
-// scenario (go test ./internal/scenario/) and gated in CI via
-// BENCH_scenarios.json; `endbox-bench -scenario list` prints the matrix.
+// scenario (go test ./internal/scenario/); `endbox-bench -scenario list`
+// prints the matrix.
 package main
 
 import (

@@ -117,26 +117,6 @@ func (ca *CA) RevokeMeasurement(m sgx.Measurement) {
 	delete(ca.allowed, m.String())
 }
 
-// AllowMeasurementOf admits whatever m's String() prints.
-//
-// Deprecated: use AllowMeasurement with a typed sgx.Measurement — the
-// Stringer form let arbitrary strings into the allowlist, where they could
-// never match a real enclave identity.
-func (ca *CA) AllowMeasurementOf(m fmt.Stringer) {
-	ca.mu.Lock()
-	defer ca.mu.Unlock()
-	ca.allowed[m.String()] = true
-}
-
-// RevokeMeasurementOf removes whatever m's String() prints.
-//
-// Deprecated: use RevokeMeasurement with a typed sgx.Measurement.
-func (ca *CA) RevokeMeasurementOf(m fmt.Stringer) {
-	ca.mu.Lock()
-	defer ca.mu.Unlock()
-	delete(ca.allowed, m.String())
-}
-
 // MeasurementKey derives the configuration key for one enclave build:
 // HMAC(configMaster, measurement). Deterministic per (CA, build), so the
 // operator can seal an update to a build at any time, and never stored —

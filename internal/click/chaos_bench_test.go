@@ -13,8 +13,7 @@ import (
 // entire cost off the happy path — a recover() at the Process boundary
 // and quarantine gates that are only spliced into the graph after a trip
 // — so this must stay 0 allocs/op and within a few percent of the
-// uncontained baseline. CI gates both via cmd/benchgate against
-// BENCH_chaos.json (-match ContainedPipelines1500).
+// uncontained baseline (TestPipelinesAllocateNothing pins the allocations).
 func BenchmarkContainedPipelines1500(b *testing.B) {
 	ctx := &Context{
 		RuleSet: func(string) (string, error) {

@@ -7,9 +7,9 @@ import (
 )
 
 // BenchmarkFlowPipelines1500 is the end-to-end cost of the stateful
-// elements on 1500-byte established-connection traffic, gated by
-// cmd/benchgate against BENCH_flow.json: both pipelines must stay at
-// 0 allocs/op — flow tracking rides the packet path for free.
+// elements on 1500-byte established-connection traffic: both pipelines
+// must stay at 0 allocs/op — flow tracking rides the packet path for free
+// (TestPipelinesAllocateNothing).
 func BenchmarkFlowPipelines1500(b *testing.B) {
 	configs := []struct {
 		name string

@@ -572,6 +572,65 @@ func TestProcessReusesResult(t *testing.T) {
 	}
 }
 
+// TestPipelinesAllocateNothing pins the packet path's zero-allocation
+// contract pipeline by pipeline: every stock pipeline, bare and with fault
+// containment on, and the stateful flow pipelines on an established
+// connection, process a 1500-byte packet without allocating.
+func TestPipelinesAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	cli, srv := packet.MustParseAddr("10.8.0.2"), packet.MustParseAddr("10.8.0.1")
+	ruleSet := func(string) (string, error) {
+		return idps.GenerateRuleSet(idps.CommunityRuleCount, 2018), nil
+	}
+	type pipeline struct {
+		name, cfg string
+		ctx       *Context
+		warm      [][]byte // packets that set up state first
+		raw       []byte
+	}
+	udp := packet.NewUDP(cli, srv, 40000, 5201, make([]byte, 1472))
+	var pipelines []pipeline
+	for _, uc := range AllUseCases {
+		pipelines = append(pipelines,
+			pipeline{name: uc.String(), cfg: StandardConfig(uc), ctx: &Context{RuleSet: ruleSet}, raw: udp},
+			pipeline{name: uc.String() + "/contained", cfg: StandardConfig(uc),
+				ctx: &Context{RuleSet: ruleSet, Failure: FailurePolicy{Contain: true}}, raw: udp})
+	}
+	handshake := [][]byte{
+		packet.NewTCP(cli, srv, 40000, 80, 100, 0, packet.TCPSyn, nil),
+		packet.NewTCP(srv, cli, 80, 40000, 300, 101, packet.TCPSyn|packet.TCPAck, nil),
+		packet.NewTCP(cli, srv, 40000, 80, 101, 301, packet.TCPAck, nil),
+	}
+	segment := packet.NewTCP(cli, srv, 40000, 80, 101, 301, packet.TCPAck, make([]byte, 1460))
+	pipelines = append(pipelines,
+		pipeline{name: "ConnTrack", cfg: "FromDevice -> ct :: ConnTrack -> ToDevice;", warm: handshake, raw: segment},
+		pipeline{name: "ConnTrack+Shaper", warm: handshake, raw: segment,
+			cfg: "FromDevice -> ct :: ConnTrack -> sh :: FlowRateLimit(RATE 100G, BURST 4000000000) -> ToDevice;"})
+
+	for _, p := range pipelines {
+		t.Run(p.name, func(t *testing.T) {
+			inst, err := NewInstance(p.cfg, nil, p.ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ip packet.IPv4
+			for _, raw := range append(p.warm, p.raw) {
+				if err := ip.Parse(raw); err != nil {
+					t.Fatal(err)
+				}
+				if res := inst.Process(&ip); !res.Accepted {
+					t.Fatalf("packet dropped by %s", res.DroppedBy)
+				}
+			}
+			if allocs := testing.AllocsPerRun(100, func() { inst.Process(&ip) }); allocs > 0 {
+				t.Errorf("Process allocates %.1f times per packet, want 0", allocs)
+			}
+		})
+	}
+}
+
 func mustPacket(t *testing.T, src, dst string) *packet.IPv4 {
 	t.Helper()
 	var ip packet.IPv4

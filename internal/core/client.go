@@ -338,92 +338,73 @@ func (c *Client) dataPlane() vpn.DataPlane {
 	return &naivePlane{c: c}
 }
 
-// batchedPlane is EndBox's optimised data path: one ecall per packet in
-// each direction (paper §IV-A "Enclave transitions"), and for bursts one
-// ecall per slab — the whole burst packed into a single contiguous buffer
-// each way (vpn.SlabDataPlane / vpn.SlabIngressPlane).
+// ecallBytes runs an ecall whose argument and result are byte slabs.
+func (c *Client) ecallBytes(name string, arg []byte) ([]byte, error) {
+	res, err := c.enclave.Ecall(name, arg)
+	if err != nil {
+		return nil, err
+	}
+	return res.([]byte), nil
+}
+
+// batchedPlane is EndBox's optimised data path: one ecall per slab in each
+// direction (paper §IV-A "Enclave transitions") — 2 transitions and zero
+// per-packet allocations at the boundary, whether the slab holds a burst
+// or a lone packet. Result slabs are pooled; the vpn client releases them.
 type batchedPlane struct{ c *Client }
 
-func (p *batchedPlane) SealOutbound(payload []byte) ([]byte, error) {
-	res, err := p.c.enclave.Ecall(ecallProcessOut, payload)
-	if err != nil {
-		return nil, err
-	}
-	return res.([]byte), nil
+func (p *batchedPlane) SealSlab(slab []byte) ([]byte, error) {
+	return p.c.ecallBytes(ecallProcessOutBatch, slab)
 }
 
-// SealOutboundSlab implements vpn.SlabDataPlane: the whole burst crosses
-// the boundary in one ecall as ONE contiguous buffer (2 transitions and
-// zero per-packet allocations at the boundary). The result slab is pooled;
-// the vpn client releases it after transmitting the frames.
-func (p *batchedPlane) SealOutboundSlab(slab []byte) ([]byte, error) {
-	res, err := p.c.enclave.Ecall(ecallProcessOutBatch, slab)
-	if err != nil {
-		return nil, err
-	}
-	return res.([]byte), nil
+func (p *batchedPlane) OpenSlab(slab []byte) ([]byte, error) {
+	return p.c.ecallBytes(ecallProcessInBatch, slab)
 }
 
-// SlabBudget implements vpn.SlabDataPlane/SlabIngressPlane: slabs are
-// bounded by what one enclave crossing may carry.
+// SlabBudget bounds slabs by what one enclave crossing may carry.
 func (p *batchedPlane) SlabBudget() int { return p.c.enclave.MaxBoundaryBytes() }
 
-func (p *batchedPlane) OpenInbound(frame []byte) ([]byte, error) {
-	res, err := p.c.enclave.Ecall(ecallProcessIn, frame)
-	if err != nil {
-		return nil, err
-	}
-	return res.([]byte), nil
-}
-
-// OpenInboundSlab implements vpn.SlabIngressPlane: a whole received burst
-// crosses the boundary in one ecall as one buffer (the ingress mirror of
-// SealOutboundSlab).
-func (p *batchedPlane) OpenInboundSlab(slab []byte) ([]byte, error) {
-	res, err := p.c.enclave.Ecall(ecallProcessInBatch, slab)
-	if err != nil {
-		return nil, err
-	}
-	return res.([]byte), nil
-}
-
 // naivePlane crosses the boundary once per processing stage (Click,
-// encrypt, MAC) — the unoptimised design the ablation quantifies.
+// encrypt, MAC) for every packet — the unoptimised design the §V-G(1)
+// ablation quantifies. It is a reference, so it walks the slab entry by
+// entry and lets each stage allocate.
 type naivePlane struct{ c *Client }
 
-func (p *naivePlane) SealOutbound(payload []byte) ([]byte, error) {
-	var err error
-	if len(payload) > 0 && payload[0] == vpn.FrameData {
-		var res any
-		res, err = p.c.enclave.Ecall(ecallNaiveClick, payload)
+func (p *naivePlane) SealSlab(slab []byte) ([]byte, error) {
+	return vpn.MapSlab(slab, func(payload []byte) ([]byte, error) {
+		if len(payload) > 0 && payload[0] == vpn.FrameData {
+			out, err := p.c.ecallBytes(ecallNaiveClick, payload)
+			if err != nil {
+				return nil, err
+			}
+			payload = out
+		}
+		payload, err := p.c.ecallBytes(ecallNaiveCrypt, payload)
 		if err != nil {
 			return nil, err
 		}
-		payload = res.([]byte)
-	}
-	res, err := p.c.enclave.Ecall(ecallNaiveCrypt, payload)
-	if err != nil {
-		return nil, err
-	}
-	res, err = p.c.enclave.Ecall(ecallNaiveMAC, res.([]byte))
-	if err != nil {
-		return nil, err
-	}
-	return res.([]byte), nil
+		return p.c.ecallBytes(ecallNaiveMAC, payload)
+	})
 }
 
-func (p *naivePlane) OpenInbound(frame []byte) ([]byte, error) {
-	// Inbound symmetric: the batched call already performs open+click;
-	// the naive path pays an extra boundary round trip per stage.
-	if _, err := p.c.enclave.Ecall(ecallNaiveCrypt, frame); err != nil {
-		return nil, err
-	}
-	res, err := p.c.enclave.Ecall(ecallProcessIn, frame)
-	if err != nil {
-		return nil, err
-	}
-	return res.([]byte), nil
+// OpenSlab pays the extra per-stage round trip, then opens each frame
+// through the batched ecall as a slab of one and unpacks its one result.
+func (p *naivePlane) OpenSlab(slab []byte) ([]byte, error) {
+	return vpn.MapSlab(slab, func(frame []byte) ([]byte, error) {
+		if _, err := p.c.ecallBytes(ecallNaiveCrypt, frame); err != nil {
+			return nil, err
+		}
+		one, err := p.c.ecallBytes(ecallProcessInBatch, vpn.AppendSlabEntry(nil, frame))
+		if err != nil {
+			return nil, err
+		}
+		r := vpn.NewResultReader(one)
+		payload, entryErr, _ := r.Next()
+		return payload, entryErr
+	})
 }
+
+func (p *naivePlane) SlabBudget() int { return p.c.enclave.MaxBoundaryBytes() }
 
 // Connect performs the VPN handshake against a server reachable through
 // accept (in-process or via a transport adapter). The context bounds the

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"crypto/ed25519"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -65,8 +68,7 @@ type DeploymentOptions struct {
 	// Retransmit tunes the control-path ARQ layer when the transport
 	// supports reliable delivery (the UDP transport does; the in-process
 	// transport cannot lose messages and ignores it). The zero value keeps
-	// the defaults with the ARQ layer on; RetransmitConfig.Disable opts
-	// out. Data frames are never retransmitted.
+	// the defaults. Data frames are never retransmitted.
 	Retransmit RetransmitConfig
 	// LossProfile injects deterministic, seeded control-path impairment
 	// (drop/duplicate/reorder) when the transport supports it — the
@@ -698,35 +700,75 @@ func (d *Deployment) AddClient(ctx context.Context, id string, spec ClientSpec) 
 		}
 		d.RemoveClient(id)
 	}
+	return d.join(ctx, id, spec, nil)
+}
+
+// join runs the shared join sequence (Join) for one of the deployment's
+// clients — afresh, or resuming from state — and records the connected
+// client: link, rollout labels, join generation and tunnel address (the
+// resumed session's previous one when still free).
+func (d *Deployment) join(ctx context.Context, id string, spec ClientSpec, resume *ResumeState) (*Client, error) {
+	// Compile and validate the middlebox configuration before any link,
+	// enclave or attestation work: a bad pipeline fails here with a typed
+	// error instead of deep inside ecallInitClick.
+	ruleSets := mergedRuleSets(spec.ExtraRuleSets)
+	cfg, err := compileSpec(spec, ruleSets)
+	if err != nil {
+		return nil, err
+	}
+	obs := d.observe()
+	opts := ClientOptions{
+		ID: id,
+		// The same seed rebuilds the same virtual CPU, so a resumed client's
+		// sealed blobs unseal — the simulation's equivalent of restarting
+		// on the same physical machine.
+		CPU:                sgx.NewCPU("client-cpu-" + id),
+		Mode:               spec.Mode,
+		BurnCPU:            spec.BurnCPU,
+		TransitionCost:     spec.TransitionCost,
+		BuildVersion:       spec.BuildVersion,
+		ClickConfig:        cfg,
+		RuleSets:           ruleSets,
+		WireMode:           d.opts.Mode,
+		FlagClientToClient: spec.FlagClientToClient,
+		BatchEcalls:        !spec.NaiveEcalls,
+		FlowCapacity:       cmp.Or(spec.FlowCapacity, d.opts.FlowCapacity),
+		FlowTTL:            cmp.Or(spec.FlowTTL, d.opts.FlowTTL),
+		Deliver:            func(ip []byte) { obs.PacketReceived(id, ip) },
+		OnAlert:            func(a click.Alert) { obs.Alert(id, a) },
+		FailurePolicy:      d.failurePolicy(),
+		OnElementFault: func(f click.ElementFault) {
+			if fo, ok := obs.(FaultObserver); ok {
+				fo.OnElementFault(id, f)
+			}
+		},
+		OnUpdateFailed: func(version uint64, err error) {
+			if fo, ok := obs.(FaultObserver); ok {
+				fo.OnUpdateFailed(id, version, err)
+			}
+		},
+		Clock: d.opts.Clock,
+	}
+	var prevAddr packet.Addr
+	if resume != nil {
+		opts.CAPub = d.CA.PublicKey()
+		opts.ConfigVersion = resume.Version
+		opts.LKGVersion = resume.LKG
+		prevAddr = resume.Addr
+	}
+
 	link, err := d.transport.Link(ctx, id)
 	if err != nil {
 		return nil, err
 	}
-	cli, err := d.buildClient(ctx, link, id, spec)
+	cli, err := Join(ctx, link, JoinOptions{Client: opts, Resume: resume})
 	if err != nil {
-		link.Close()
-		return nil, err
-	}
-	if bl, ok := link.(BatchClientLink); ok {
-		// Burst-capable links hand over several queued frames at once so
-		// they cross the client's enclave boundary in a single ecall.
-		bl.SetDeliverBatch(func(frames [][]byte) error {
-			_, err := cli.HandleFrames(frames)
-			return err
-		})
-	} else {
-		link.SetDeliver(cli.HandleFrame)
-	}
-	if err := cli.Connect(ctx, func(h *vpn.ClientHello) (*vpn.ServerHello, error) {
-		return link.Hello(ctx, h)
-	}); err != nil {
-		cli.Close()
 		link.Close()
 		return nil, err
 	}
 
 	d.mu.Lock()
-	addr, ok := d.allocAddrLocked()
+	addr, ok := d.takeAddrLocked(prevAddr)
 	if !ok {
 		d.mu.Unlock()
 		d.Server.VPN().Disconnect(id)
@@ -739,11 +781,7 @@ func (d *Deployment) AddClient(ctx context.Context, id string, spec ClientSpec) 
 	d.lastSeq++
 	d.joinSeq[id] = d.lastSeq
 	if len(spec.Labels) > 0 {
-		labels := make(map[string]string, len(spec.Labels))
-		for k, v := range spec.Labels {
-			labels[k] = v
-		}
-		d.labels[id] = labels
+		d.labels[id] = maps.Clone(spec.Labels)
 	}
 	d.addrs[addr] = id
 	d.addrByID[id] = addr
@@ -751,12 +789,22 @@ func (d *Deployment) AddClient(ctx context.Context, id string, spec ClientSpec) 
 	return cli, nil
 }
 
-// allocAddrLocked hands out the next tunnel address, reusing addresses
-// released by RemoveClient before growing. Callers hold d.mu.
-func (d *Deployment) allocAddrLocked() (packet.Addr, bool) {
+// takeAddrLocked hands out a tunnel address: the session's previous one
+// when it sits on the free list (same VIF across resume, the common case),
+// otherwise an address released by RemoveClient, otherwise the next unused
+// one. It never hands out an address the allocator has not released: an
+// arbitrary prev could collide with nextIP's future allocations. Callers
+// hold d.mu.
+func (d *Deployment) takeAddrLocked(prev packet.Addr) (packet.Addr, bool) {
 	if n := len(d.freeAddrs); n > 0 {
-		addr := d.freeAddrs[n-1]
-		d.freeAddrs = d.freeAddrs[:n-1]
+		i := n - 1
+		if prev != (packet.Addr{}) {
+			if j := slices.Index(d.freeAddrs, prev); j >= 0 {
+				i = j
+			}
+		}
+		addr := d.freeAddrs[i]
+		d.freeAddrs = slices.Delete(d.freeAddrs, i, i+1)
 		return addr, true
 	}
 	if d.nextIP == 255 { // 10.8.0.1 is the server; .255 is broadcast
@@ -765,89 +813,6 @@ func (d *Deployment) allocAddrLocked() (packet.Addr, bool) {
 	addr := packet.AddrFrom(10, 8, 0, d.nextIP)
 	d.nextIP++
 	return addr, true
-}
-
-// controlSend selects the link's control-class send path when the
-// transport distinguishes delivery classes (ControlLink), so pings, nacks
-// and health reports bypass the server's overload-shedding watermark. Nil
-// otherwise — the client falls back to its data send.
-func controlSend(link ClientLink) func(frame []byte) error {
-	if cl, ok := link.(ControlLink); ok {
-		return cl.SendControlFrame
-	}
-	return nil
-}
-
-// buildClient performs everything except the VPN handshake.
-func (d *Deployment) buildClient(ctx context.Context, link ClientLink, id string, spec ClientSpec) (*Client, error) {
-	ruleSets := mergedRuleSets(spec.ExtraRuleSets)
-	// Compile and validate the middlebox configuration before any enclave
-	// or attestation work: a bad pipeline fails here with a typed error
-	// instead of deep inside ecallInitClick.
-	cfg, err := compileSpec(spec, ruleSets)
-	if err != nil {
-		return nil, err
-	}
-
-	cpu := sgx.NewCPU("client-cpu-" + id)
-	qe, err := attest.NewQuotingEnclave(cpu, "platform-"+id)
-	if err != nil {
-		return nil, err
-	}
-	caPub, err := link.Register(ctx, qe.PlatformID(), qe.VerificationKey())
-	if err != nil {
-		return nil, err
-	}
-
-	flowCapacity := spec.FlowCapacity
-	if flowCapacity == 0 {
-		flowCapacity = d.opts.FlowCapacity
-	}
-	flowTTL := spec.FlowTTL
-	if flowTTL == 0 {
-		flowTTL = d.opts.FlowTTL
-	}
-
-	obs := d.observe()
-	return NewClient(ClientOptions{
-		ID:             id,
-		CPU:            cpu,
-		Mode:           spec.Mode,
-		BurnCPU:        spec.BurnCPU,
-		TransitionCost: spec.TransitionCost,
-		CAPub:          caPub,
-		BuildVersion:   spec.BuildVersion,
-		QE:             qe,
-		Enroll: func(q attest.Quote) (*attest.Provision, error) {
-			return link.Enroll(ctx, q)
-		},
-		ClickConfig:        cfg,
-		RuleSets:           ruleSets,
-		WireMode:           d.opts.Mode,
-		FlagClientToClient: spec.FlagClientToClient,
-		BatchEcalls:        !spec.NaiveEcalls,
-		FlowCapacity:       flowCapacity,
-		FlowTTL:            flowTTL,
-		FetchConfig: func(version uint64) ([]byte, error) {
-			return link.FetchConfig(context.Background(), version)
-		},
-		Send:          link.SendFrame,
-		SendControl:   controlSend(link),
-		Deliver:       func(ip []byte) { obs.PacketReceived(id, ip) },
-		OnAlert:       func(a click.Alert) { obs.Alert(id, a) },
-		FailurePolicy: d.failurePolicy(),
-		OnElementFault: func(f click.ElementFault) {
-			if fo, ok := obs.(FaultObserver); ok {
-				fo.OnElementFault(id, f)
-			}
-		},
-		OnUpdateFailed: func(version uint64, err error) {
-			if fo, ok := obs.(FaultObserver); ok {
-				fo.OnUpdateFailed(id, version, err)
-			}
-		},
-		Clock: d.opts.Clock,
-	})
 }
 
 // ResumeState is everything a client needs to re-establish its session
@@ -913,139 +878,7 @@ func (d *Deployment) ResumeClient(ctx context.Context, state ResumeState, spec C
 	if dup {
 		d.RemoveClient(id)
 	}
-	link, err := d.transport.Link(ctx, id)
-	if err != nil {
-		return nil, err
-	}
-	rl, ok := link.(ResumeLink)
-	if !ok {
-		link.Close()
-		return nil, fmt.Errorf("core: transport cannot resume client %q (no ResumeLink); use AddClient", id)
-	}
-	cli, err := d.buildResumedClient(ctx, link, id, spec, state)
-	if err != nil {
-		link.Close()
-		return nil, err
-	}
-	if bl, ok := link.(BatchClientLink); ok {
-		bl.SetDeliverBatch(func(frames [][]byte) error {
-			_, err := cli.HandleFrames(frames)
-			return err
-		})
-	} else {
-		link.SetDeliver(cli.HandleFrame)
-	}
-	if err := cli.Resume(ctx, state.Secret, state.Ticket, func(r *vpn.ResumeRequest) (*vpn.ResumeReply, error) {
-		return rl.Resume(ctx, r)
-	}); err != nil {
-		cli.Close()
-		link.Close()
-		return nil, err
-	}
-
-	d.mu.Lock()
-	addr, ok := d.takeAddrLocked(state.Addr)
-	if !ok {
-		d.mu.Unlock()
-		d.Server.VPN().Disconnect(id)
-		cli.Close()
-		link.Close()
-		return nil, fmt.Errorf("core: tunnel address space exhausted (10.8.0.0/24)")
-	}
-	d.clients[id] = cli
-	d.links[id] = link
-	d.lastSeq++
-	d.joinSeq[id] = d.lastSeq
-	if len(spec.Labels) > 0 {
-		labels := make(map[string]string, len(spec.Labels))
-		for k, v := range spec.Labels {
-			labels[k] = v
-		}
-		d.labels[id] = labels
-	}
-	d.addrs[addr] = id
-	d.addrByID[id] = addr
-	d.mu.Unlock()
-	return cli, nil
-}
-
-// takeAddrLocked reclaims the session's previous tunnel address when it
-// sits on the free list (same VIF across resume, the common case) and
-// falls back to a fresh allocation. It never hands out an address the
-// allocator has not released: an arbitrary prev could collide with
-// nextIP's future allocations. Callers hold d.mu.
-func (d *Deployment) takeAddrLocked(prev packet.Addr) (packet.Addr, bool) {
-	if prev != (packet.Addr{}) {
-		for i, a := range d.freeAddrs {
-			if a == prev {
-				d.freeAddrs = append(d.freeAddrs[:i], d.freeAddrs[i+1:]...)
-				return a, true
-			}
-		}
-	}
-	return d.allocAddrLocked()
-}
-
-// buildResumedClient rebuilds a client's enclave from its sealed
-// identity: everything buildClient does except the attestation and
-// enrolment round trips (Register, Quote, Enroll), which the sealed
-// identity replaces.
-func (d *Deployment) buildResumedClient(ctx context.Context, link ClientLink, id string, spec ClientSpec, state ResumeState) (*Client, error) {
-	ruleSets := mergedRuleSets(spec.ExtraRuleSets)
-	cfg, err := compileSpec(spec, ruleSets)
-	if err != nil {
-		return nil, err
-	}
-	flowCapacity := spec.FlowCapacity
-	if flowCapacity == 0 {
-		flowCapacity = d.opts.FlowCapacity
-	}
-	flowTTL := spec.FlowTTL
-	if flowTTL == 0 {
-		flowTTL = d.opts.FlowTTL
-	}
-	obs := d.observe()
-	return NewClient(ClientOptions{
-		ID: id,
-		// The same seed rebuilds the same virtual CPU, so the sealed
-		// blobs unseal — the simulation's equivalent of restarting on the
-		// same physical machine.
-		CPU:                sgx.NewCPU("client-cpu-" + id),
-		Mode:               spec.Mode,
-		BurnCPU:            spec.BurnCPU,
-		TransitionCost:     spec.TransitionCost,
-		CAPub:              d.CA.PublicKey(),
-		BuildVersion:       spec.BuildVersion,
-		SealedIdentity:     state.SealedIdentity,
-		ClickConfig:        cfg,
-		RuleSets:           ruleSets,
-		ConfigVersion:      state.Version,
-		WireMode:           d.opts.Mode,
-		FlagClientToClient: spec.FlagClientToClient,
-		BatchEcalls:        !spec.NaiveEcalls,
-		FlowCapacity:       flowCapacity,
-		FlowTTL:            flowTTL,
-		FetchConfig: func(version uint64) ([]byte, error) {
-			return link.FetchConfig(context.Background(), version)
-		},
-		Send:          link.SendFrame,
-		SendControl:   controlSend(link),
-		Deliver:       func(ip []byte) { obs.PacketReceived(id, ip) },
-		OnAlert:       func(a click.Alert) { obs.Alert(id, a) },
-		FailurePolicy: d.failurePolicy(),
-		LKGVersion:    state.LKG,
-		OnElementFault: func(f click.ElementFault) {
-			if fo, ok := obs.(FaultObserver); ok {
-				fo.OnElementFault(id, f)
-			}
-		},
-		OnUpdateFailed: func(version uint64, err error) {
-			if fo, ok := obs.(FaultObserver); ok {
-				fo.OnUpdateFailed(id, version, err)
-			}
-		},
-		Clock: d.opts.Clock,
-	})
+	return d.join(ctx, id, spec, &state)
 }
 
 // LifecycleStats snapshots the deployment's session lifecycle counters:

@@ -55,9 +55,11 @@ func ClientImageVersion(caPub ed25519.PublicKey, version string) sgx.Image {
 	}
 }
 
-// Ecall names of the EndBox enclave interface. Only the four starred calls
-// run during normal operation (paper §IV-B: "ENDBOX defines only 4 ecalls
-// that are executed during normal operation"); the rest are initialisation.
+// Ecall names of the EndBox enclave interface. Only the two starred calls
+// run per packet (the paper's hot interface is four — §IV-B: "ENDBOX
+// defines only 4 ecalls that are executed during normal operation" — ours
+// folds the per-packet pair into the slab pair, a lone packet being a slab
+// of one); the rest are initialisation, management and statistics.
 const (
 	ecallKeygen          = "keygen"
 	ecallProvision       = "provision"
@@ -67,12 +69,8 @@ const (
 	ecallExportResume    = "export_resume"
 	ecallResumeFinish    = "resume_finish"
 	ecallInitClick       = "init_click"
-	ecallProcessOut      = "process_out"       // *
 	ecallProcessOutBatch = "process_out_batch" // *
-	ecallProcessIn       = "process_in"        // *
 	ecallProcessInBatch  = "process_in_batch"  // *
-	ecallControlMAC      = "control_mac"       // *
-	ecallControlVrfy     = "control_vrfy"      // *
 	ecallApplyConfig     = "apply_config"
 	ecallForwardKey      = "forward_tls_key"
 	ecallGetCert         = "get_cert"
@@ -470,19 +468,9 @@ func registerEcalls(e *sgx.Enclave, caPub ed25519.PublicKey, alert func(click.Al
 		return err
 	}
 
-	if err := reg(ecallProcessOut, func(_ *sgx.Ctx, arg any) (any, error) {
-		payload, ok := arg.([]byte)
-		if !ok {
-			return nil, fmt.Errorf("core: bad outbound payload")
-		}
-		return st.sealOutbound(payload)
-	}); err != nil {
-		return err
-	}
-
-	// Batched egress: one boundary crossing seals a whole burst of packets
-	// packed into a single length-prefixed slab — one contiguous buffer in
-	// each direction, so the boundary cost AND the per-packet allocations
+	// Egress: one boundary crossing seals a slab — a burst, or a lone
+	// packet as a slab of one — packed into a single length-prefixed buffer
+	// in each direction, so the boundary cost AND the per-packet allocations
 	// are both amortised to (almost) zero (the transition-amortisation the
 	// paper's single-ecall design enables, taken one step further for
 	// send-heavy workloads).
@@ -509,71 +497,15 @@ func registerEcalls(e *sgx.Enclave, caPub ed25519.PublicKey, alert func(click.Al
 		return err
 	}
 
-	if err := reg(ecallProcessIn, func(_ *sgx.Ctx, arg any) (any, error) {
-		frame, ok := arg.([]byte)
-		if !ok {
-			return nil, fmt.Errorf("core: bad inbound frame")
-		}
-		return st.openInbound(frame, false)
-	}); err != nil {
-		return err
-	}
-
-	// Batched ingress: one boundary crossing opens a whole received burst
-	// packed into a slab — the ingress mirror of ecallProcessOutBatch.
-	// Frames are decrypted in place inside the request slab; opened
-	// payloads are packed into the pooled result slab.
+	// Ingress: one boundary crossing opens a received slab — the mirror of
+	// ecallProcessOutBatch. Frames are decrypted in place inside the request
+	// slab; opened payloads are packed into the pooled result slab.
 	if err := reg(ecallProcessInBatch, func(_ *sgx.Ctx, arg any) (any, error) {
 		slab, ok := arg.([]byte)
 		if !ok {
 			return nil, fmt.Errorf("core: bad inbound batch")
 		}
-		n, err := vpn.SlabCount(slab)
-		if err != nil {
-			return nil, err
-		}
-		res := wire.GetBuffer(vpn.ResultSlabCap(len(slab), n))[:0]
-		r := vpn.NewSlabReader(slab)
-		for {
-			frame, ok := r.Next()
-			if !ok {
-				break
-			}
-			payload, err := st.openInbound(frame, true)
-			if err != nil {
-				res = vpn.AppendResultErr(res, err)
-				continue
-			}
-			res = vpn.AppendResultOK(res, payload)
-		}
-		return res, nil
-	}); err != nil {
-		return err
-	}
-
-	if err := reg(ecallControlMAC, func(_ *sgx.Ctx, arg any) (any, error) {
-		body, ok := arg.([]byte)
-		if !ok {
-			return nil, fmt.Errorf("core: bad control body")
-		}
-		if st.signPriv == nil {
-			return nil, ErrNotProvisioned
-		}
-		return ed25519.Sign(st.signPriv, append([]byte("endbox-control:"), body...)), nil
-	}); err != nil {
-		return err
-	}
-
-	if err := reg(ecallControlVrfy, func(_ *sgx.Ctx, arg any) (any, error) {
-		pair, ok := arg.([2][]byte)
-		if !ok {
-			return nil, fmt.Errorf("core: bad control verify argument")
-		}
-		if st.cert == nil {
-			return nil, ErrNotProvisioned
-		}
-		okSig := ed25519.Verify(st.cert.Keys.SignPub, append([]byte("endbox-control:"), pair[0]...), pair[1])
-		return okSig, nil
+		return vpn.MapSlab(slab, st.openInbound)
 	}); err != nil {
 		return err
 	}
@@ -741,33 +673,10 @@ func registerEcalls(e *sgx.Enclave, caPub ed25519.PublicKey, alert func(click.Al
 	return nil
 }
 
-// sealOutbound is the single-ecall egress path (paper Fig. 3 steps 1-4):
-// Click processing, client-to-client flagging, then encrypt+MAC into a
-// pooled frame buffer. Ownership of the frame transfers to the caller,
-// which releases it with wire.PutBuffer after transmission.
-func (st *enclaveState) sealOutbound(payload []byte) ([]byte, error) {
-	if st.session == nil {
-		return nil, ErrNoSession
-	}
-	if len(payload) > 0 && payload[0] == vpn.FrameData {
-		out, err := st.clickOutbound(payload)
-		if err != nil {
-			return nil, err
-		}
-		payload = out
-	}
-	frame := wire.GetBuffer(st.session.SealedLen(len(payload)))
-	sealed, err := st.session.SealTo(payload, frame)
-	if err != nil {
-		wire.PutBuffer(frame)
-		return nil, err
-	}
-	return sealed, nil
-}
-
-// appendSealedOutbound is the slab egress path: Click + seal one
-// encapsulated payload, writing the sealed frame directly into the result
-// slab (or the error entry that excluded the packet).
+// appendSealedOutbound is the egress path (paper Fig. 3 steps 1-4): Click
+// processing, client-to-client flagging, then encrypt+MAC one encapsulated
+// payload, writing the sealed frame directly into the result slab (or the
+// error entry that excluded the packet).
 func (st *enclaveState) appendSealedOutbound(res, payload []byte) []byte {
 	if st.session == nil {
 		return vpn.AppendResultErr(res, ErrNoSession)
@@ -791,7 +700,7 @@ func (st *enclaveState) appendSealedOutbound(res, payload []byte) []byte {
 // possibly rewritten payload or ErrDropped. Unmodified packets keep their
 // original serialisation (no re-marshal on the hot path); rewritten ones
 // are serialised into the enclave's marshal scratch, which stays valid
-// only until the next ecall — both egress callers consume it before
+// only until the next ecall — the egress callers consume it before
 // returning (SealTo copies it into the outgoing frame).
 func (st *enclaveState) clickOutbound(payload []byte) ([]byte, error) {
 	if st.router == nil {
@@ -830,16 +739,13 @@ func (st *enclaveState) marshalPayload(ip *packet.IPv4) []byte {
 	return out
 }
 
-// openInbound is the single-ecall ingress path: verify+decrypt in place
-// inside the caller's frame buffer, then run Click unless the packet
-// carries a peer's 0xeb flag (paper §IV-A "Client-to-client
-// communication"). The returned payload aliases frame except when the
-// middlebox rewrote the packet; inSlab selects where such rewrites are
-// serialised — the enclave's marshal scratch when the caller copies the
-// payload out before its next ecall (the slab batch handler), or a fresh
-// buffer when the payload outlives the call (the single-frame ecall,
-// whose caller hands it straight to the application).
-func (st *enclaveState) openInbound(frame []byte, inSlab bool) ([]byte, error) {
+// openInbound is the ingress path: verify+decrypt in place inside the
+// request slab, then run Click unless the packet carries a peer's 0xeb flag
+// (paper §IV-A "Client-to-client communication"). The returned payload
+// aliases frame, or the enclave's marshal scratch when the middlebox
+// rewrote the packet; vpn.MapSlab copies it into the result slab before
+// the next entry is opened.
+func (st *enclaveState) openInbound(frame []byte) ([]byte, error) {
 	if st.session == nil {
 		return nil, ErrNoSession
 	}
@@ -867,14 +773,5 @@ func (st *enclaveState) openInbound(frame []byte, inSlab bool) ([]byte, error) {
 	if !res.Packet.Modified() {
 		return payload, nil
 	}
-	if inSlab {
-		return st.marshalPayload(res.Packet.IP), nil
-	}
-	// Single-frame path: the payload crosses the boundary and outlives
-	// this ecall, so it cannot use the marshal scratch. The buffer is
-	// never explicitly released (the GC reclaims it; rewrites are rare).
-	out := wire.GetBuffer(1 + res.Packet.IP.Len())
-	out[0] = vpn.FrameData
-	res.Packet.IP.MarshalTo(out[1:])
-	return out, nil
+	return st.marshalPayload(res.Packet.IP), nil
 }

@@ -113,10 +113,9 @@ type WorkerTransport interface {
 // RetransmitConfig tunes the control-path ARQ layer of transports that
 // support reliable delivery over a lossy datagram network (see
 // ReliableTransport and docs/PROTOCOL.md). The zero value selects the
-// defaults with the ARQ layer enabled; set Disable to fall back to
-// fire-and-forget control messages. Data-channel frames are never
-// retransmitted — reliability applies to the control/configuration path
-// only, so the zero-allocation data path is untouched.
+// defaults. Data-channel frames are never retransmitted — reliability
+// applies to the control/configuration path only, so the zero-allocation
+// data path is untouched.
 type RetransmitConfig struct {
 	// Timeout is the initial retransmit timeout (RTO) armed when a
 	// transfer's first segments go out (default 200ms).
@@ -137,10 +136,6 @@ type RetransmitConfig struct {
 	// selectively report, silently degrading recovery to full-window
 	// timeout retransmits).
 	Window int
-	// Disable turns the ARQ layer off: control messages and configuration
-	// chunks are sent fire-and-forget as before, and a lost chunk fails
-	// the whole fetch.
-	Disable bool
 }
 
 // WithDefaults fills unset fields with the default ARQ tuning.
@@ -182,8 +177,7 @@ func (c RetransmitConfig) TransferDeadline() time.Duration {
 // control/configuration path can retransmit lost datagrams.
 // SetRetransmit must be called before BindServer.
 type ReliableTransport interface {
-	// SetRetransmit installs the ARQ tuning (zero value = defaults,
-	// enabled; RetransmitConfig.Disable opts out).
+	// SetRetransmit installs the ARQ tuning (zero value = defaults).
 	SetRetransmit(cfg RetransmitConfig)
 }
 

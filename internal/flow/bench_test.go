@@ -7,10 +7,9 @@ import (
 	"endbox/internal/packet"
 )
 
-// BenchmarkFlowTable pins the flow engine's core costs (gated by
-// cmd/benchgate against BENCH_flow.json): steady-state lookup of a live
-// flow, and insert with entry recycling through the churn path. Both must
-// stay at 0 allocs/op.
+// BenchmarkFlowTable measures the flow engine's core costs: steady-state
+// lookup of a live flow, and insert with entry recycling through the churn
+// path. Both must stay at 0 allocs/op (TestBindSteadyStateAllocs).
 func BenchmarkFlowTable(b *testing.B) {
 	b.Run("lookup", func(b *testing.B) {
 		clk := newFakeClock()

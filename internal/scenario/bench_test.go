@@ -8,8 +8,7 @@ import (
 // build, traffic, mid-run perturbations, collection — over the in-process
 // transport (deterministic allocation counts, no socket noise). One op is
 // one full scenario run at registered defaults; SetBytes turns the played
-// traffic into the MB/s figure BENCH_scenarios.json gates alongside
-// allocs/op. Regenerate the baseline with:
+// traffic into an MB/s figure:
 //
 //	go test -run xxx -bench BenchmarkScenario -benchtime 1x -benchmem ./internal/scenario/
 func benchScenario(b *testing.B, spec string) {

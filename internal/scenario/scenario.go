@@ -6,8 +6,7 @@
 // time. Each scenario runs over either transport (in-process direct calls
 // or real UDP sockets) and reports a uniform Result: throughput, drop /
 // shed / alert counters, flow-table occupancy, ARQ retransmissions and
-// lifecycle events. The scenario benchmarks feed BENCH_scenarios.json,
-// which CI gates with cmd/benchgate.
+// lifecycle events.
 //
 // A scenario is selected by a spec string:
 //
@@ -153,8 +152,7 @@ type Scenario struct {
 }
 
 // Result is the uniform scenario report. One JSON object per scenario run
-// is the exchange format between the harness, the endbox-bench CLI and
-// the committed BENCH_scenarios.json baseline.
+// is the exchange format between the harness and the endbox-bench CLI.
 type Result struct {
 	Scenario  string        `json:"scenario"`
 	Transport string        `json:"transport"`

@@ -25,6 +25,7 @@ package udptransport
 import (
 	"encoding/binary"
 	"fmt"
+	"math/rand/v2"
 	"net"
 	"sync"
 	"time"
@@ -214,8 +215,14 @@ func (a *arq) peer(key string, addr *net.UDPAddr) *arqPeer {
 			a.sweepPeersLocked()
 		}
 		p = &arqPeer{
-			sends: make(map[uint32]*xmit),
-			recvs: make(map[uint32]*recvState),
+			// Transfer ids start at a random point: a peer that restarts
+			// behind the same key (a fresh Link on a reused ephemeral port)
+			// must not replay ids the other side still holds in its done
+			// ring, or its first transfers are re-acked as duplicates and
+			// never delivered.
+			nextXfer: rand.Uint32(),
+			sends:    make(map[uint32]*xmit),
+			recvs:    make(map[uint32]*recvState),
 		}
 		a.peers[key] = p
 	}

@@ -2,9 +2,8 @@ package udptransport
 
 // BenchmarkLossyConfigFetch records the ARQ layer's retransmit overhead:
 // a five-chunk configuration fetch over real loopback UDP at 0%, 10% and
-// 20% simulated control-path loss. Results are committed as
-// BENCH_arq.json; the interesting metrics are ns/op (latency cost of
-// recovery) and retransmits/op (wire cost of recovery).
+// 20% simulated control-path loss. The interesting metrics are ns/op
+// (latency cost of recovery) and retransmits/op (wire cost of recovery).
 
 import (
 	"context"

@@ -188,6 +188,50 @@ func TestARQTransferPerfectWire(t *testing.T) {
 	}
 }
 
+// TestARQRestartedSenderSamePeerKey restarts the sending endpoint behind
+// the same peer key — a fresh Link on a reused ephemeral port — while the
+// receiver still holds the first incarnation's transfer ids in its done
+// ring. The second incarnation's first transfer must be delivered, not
+// re-acked as a duplicate of the first's.
+func TestARQRestartedSenderSamePeerKey(t *testing.T) {
+	var mu sync.Mutex
+	var got []string
+	pair := newARQPair(fastARQ(), nil, nil,
+		func([]byte) bool { return true },
+		func(inner []byte) bool {
+			mu.Lock()
+			got = append(got, string(inner))
+			mu.Unlock()
+			return true
+		})
+	defer pair.close()
+
+	send := func(msg string) {
+		t.Helper()
+		if _, err := pair.a.send("peer", nil, [][]byte{[]byte(msg)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := waitFor(func() bool {
+			s, _ := pair.a.active()
+			return s == 0
+		}); err != nil {
+			t.Fatalf("transfer %q never completed: %v", msg, err)
+		}
+		pair.wg.Wait()
+	}
+	send("first incarnation")
+	first := pair.a
+	pair.a = newARQ(fastARQ(), first.transmit, nil)
+	first.close()
+	send("second incarnation")
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != 2 || got[1] != "second incarnation" {
+		t.Fatalf("delivered %q, want both incarnations' transfers", got)
+	}
+}
+
 func TestARQTransferSurvivesLoss(t *testing.T) {
 	// 100 segments through 20% drop + 5% duplication + 5% reorder in both
 	// directions: the selective-repeat machinery must deliver all of them

@@ -212,75 +212,46 @@ func TestLossyFetchCancelMidRetransmit(t *testing.T) {
 	}
 }
 
-// TestLossyDisabledARQTimesOut pins the pre-reliability behaviour the
-// Disable escape hatch preserves: with the ARQ off and real loss, a
-// multi-chunk fetch is at the mercy of the wire (and the legacy path
-// still works perfectly on a clean wire).
-func TestLossyDisabledARQCleanWire(t *testing.T) {
+// TestLossyUnwrappedControlDropped sends control outside a reliable
+// envelope, and an unknown datagram type: the server neither handles nor
+// answers them, and keeps serving wrapped requests.
+func TestLossyUnwrappedControlDropped(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	pub, _, err := ed25519.GenerateKey(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob := fiveChunkBlob()
-	ep := &fakeEndpoint{caPub: pub, blob: blob}
-	tr := NewTransport("127.0.0.1:0")
-	tr.SetRetransmit(RetransmitConfig{Disable: true})
-	if err := tr.BindServer(ep); err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	ep := &fakeEndpoint{caPub: pub, blob: fiveChunkBlob()}
+	tr := startLossyTransport(t, ep, nil)
 
-	link, err := Dial(ctx, tr.Addr(), LinkRetransmit(RetransmitConfig{Disable: true}))
+	link, err := Dial(ctx, tr.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer link.Close()
-	fetched, err := link.FetchConfig(ctx, 1)
-	if err != nil {
-		t.Fatalf("legacy fetch on a clean wire: %v", err)
-	}
-	if !bytes.Equal(fetched, blob) {
-		t.Fatal("legacy fetch corrupted the blob")
-	}
-	if st := link.ARQStats(); st.TransfersSent != 0 {
-		t.Errorf("disabled ARQ recorded transfers: %+v", st)
-	}
-}
-
-// TestLossyMixedLegacyClient checks an ARQ-less client against an
-// ARQ-enabled server: unwrapped requests are answered unwrapped, so old
-// clients interoperate.
-func TestLossyMixedLegacyClient(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	pub, _, err := ed25519.GenerateKey(nil)
+	bare, err := EncodeJSON(MsgRegister, Register{PlatformID: "bare", Key: pub})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob := fiveChunkBlob()
-	ep := &fakeEndpoint{caPub: pub, blob: blob}
-	tr := startLossyTransport(t, ep, nil) // ARQ on, clean wire
-
-	link, err := Dial(ctx, tr.Addr(), LinkRetransmit(RetransmitConfig{Disable: true}))
-	if err != nil {
-		t.Fatal(err)
+	for _, d := range [][]byte{bare, Encode('?', []byte("noise"))} {
+		if err := link.send(d); err != nil {
+			t.Fatal(err)
+		}
 	}
-	defer link.Close()
-	got, err := link.Register(ctx, "legacy-platform", pub)
-	if err != nil {
-		t.Fatalf("legacy Register against ARQ server: %v", err)
+	// The serve loop is one goroutine: once the wrapped request below has
+	// been answered, the datagrams sent before it have been seen.
+	if got, err := link.Register(ctx, "wrapped", pub); err != nil || !got.Equal(pub) {
+		t.Fatalf("wrapped Register after noise: key %x, err %v", got, err)
 	}
-	if !got.Equal(pub) {
-		t.Fatal("legacy Register corrupted the key")
+	ep.mu.Lock()
+	platforms := append([]string(nil), ep.platforms...)
+	ep.mu.Unlock()
+	if len(platforms) != 1 || platforms[0] != "wrapped" {
+		t.Errorf("platforms registered = %v, want only the wrapped request", platforms)
 	}
-	fetched, err := link.FetchConfig(ctx, 1)
-	if err != nil {
-		t.Fatalf("legacy fetch against ARQ server: %v", err)
-	}
-	if !bytes.Equal(fetched, blob) {
-		t.Fatal("legacy fetch corrupted the blob")
+	if st := tr.ARQStats(); st.TransfersSent != 1 {
+		t.Errorf("server sent %d transfers, want 1 (the wrapped reply only)", st.TransfersSent)
 	}
 }
 

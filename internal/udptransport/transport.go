@@ -78,11 +78,10 @@ type ShedCounter interface {
 // around this type.
 //
 // Control and configuration messages ride the selective-repeat ARQ layer
-// (arq.go) unless disabled via SetRetransmit: requests arrive wrapped in
-// MsgRel envelopes, responses — including multi-chunk configuration
-// fetches — are pushed back as reliable transfers that are retransmitted
-// until acknowledged. Unwrapped (legacy) control messages are still
-// answered fire-and-forget, so old clients keep working.
+// (arq.go): requests arrive wrapped in MsgRel envelopes, responses —
+// including multi-chunk configuration fetches — are pushed back as reliable
+// transfers that are retransmitted until acknowledged. Control datagrams
+// that arrive unwrapped are dropped.
 type Transport struct {
 	listen string
 	// Logf, if set before BindServer, receives connection-level log lines
@@ -100,7 +99,7 @@ type Transport struct {
 	retransmit RetransmitConfig
 	filter     SendFilter
 	faults     *netsim.Faults // set by SetLossProfile; nil otherwise
-	arq        *arq           // nil when RetransmitConfig.Disable is set
+	arq        *arq           // set by BindServer
 }
 
 // NewTransport creates a UDP transport that will listen on the given
@@ -139,10 +138,10 @@ func (t *Transport) Workers() int {
 	return t.workers
 }
 
-// SetRetransmit implements core.ReliableTransport: tune (or, with
-// RetransmitConfig.Disable, turn off) the control-path ARQ layer. Must be
-// called before BindServer. Client links opened through Link inherit the
-// configuration, so both directions of a deployment share one tuning.
+// SetRetransmit implements core.ReliableTransport: tune the control-path
+// ARQ layer. Must be called before BindServer. Client links opened through
+// Link inherit the configuration, so both directions of a deployment share
+// one tuning.
 func (t *Transport) SetRetransmit(cfg RetransmitConfig) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -191,8 +190,8 @@ func (t *Transport) SetSendFilter(f SendFilter) {
 	t.filter = f
 }
 
-// ARQStats reports the server-side reliability counters (zero value when
-// the ARQ layer is disabled).
+// ARQStats reports the server-side reliability counters (zero value while
+// the transport is not bound).
 func (t *Transport) ARQStats() ARQStats {
 	t.mu.Lock()
 	a := t.arq
@@ -251,11 +250,10 @@ func (t *Transport) BindServer(ep core.ServerEndpoint) error {
 	}
 	t.ep = ep
 	t.conn = conn
-	if !t.retransmit.Disable {
-		t.arq = newARQ(t.retransmit, func(to *net.UDPAddr, datagram []byte) error {
-			return t.transmitTo(conn, to, datagram)
-		}, t.logf)
-	}
+	a := newARQ(t.retransmit, func(to *net.UDPAddr, datagram []byte) error {
+		return t.transmitTo(conn, to, datagram)
+	}, t.logf)
+	t.arq = a
 	if t.workers > 0 {
 		t.pool = dataplane.NewPool(t.workers, 0, func(clientID string, frame []byte) {
 			if err := ep.HandleFrame(clientID, frame); err != nil {
@@ -277,14 +275,14 @@ func (t *Transport) BindServer(ep core.ServerEndpoint) error {
 		}
 	}
 	t.mu.Unlock()
-	go t.serve(conn, ep)
+	go t.serve(conn, ep, a)
 	return nil
 }
 
 // serve is the datagram dispatch loop. Datagrams land in pooled receive
 // buffers; a buffer is reused for the next read unless a frame dispatch
 // transferred its ownership to the worker pool.
-func (t *Transport) serve(conn *net.UDPConn, ep core.ServerEndpoint) {
+func (t *Transport) serve(conn *net.UDPConn, ep core.ServerEndpoint, a *arq) {
 	buf := wire.GetBuffer(MaxDatagram)
 	defer func() { wire.PutBuffer(buf) }()
 	for {
@@ -310,14 +308,8 @@ func (t *Transport) serve(conn *net.UDPConn, ep core.ServerEndpoint) {
 			}
 			continue
 		}
-		t.mu.Lock()
-		a := t.arq
-		t.mu.Unlock()
 		switch msgType {
 		case MsgRel:
-			if a == nil {
-				continue // ARQ disabled: ignore wrapped traffic
-			}
 			// Unwrap, acknowledge and deduplicate; on first delivery run
 			// the control handler and push its response (single datagram
 			// or a whole chunked configuration) as a reliable transfer.
@@ -335,18 +327,10 @@ func (t *Transport) serve(conn *net.UDPConn, ep core.ServerEndpoint) {
 				return true
 			})
 		case MsgAck:
-			if a != nil {
-				a.handleAck(from.String(), body)
-			}
-		default:
-			// Legacy unwrapped control: answer fire-and-forget so clients
-			// without the ARQ layer keep working.
-			for _, resp := range t.handle(ep, msgType, body, from) {
-				if err := t.transmitTo(conn, from, resp); err != nil {
-					t.logf("udptransport: reply to %s: %v", from, err)
-				}
-			}
+			a.handleAck(from.String(), body)
 		}
+		// Anything else is control that arrived outside a reliable
+		// envelope, or an unknown type: dropped, never answered.
 	}
 }
 
@@ -388,9 +372,8 @@ func (t *Transport) dispatchFrame(ep core.ServerEndpoint, body, owner []byte, fr
 }
 
 // handle processes one control message and returns the response datagrams
-// (nil for none; a configuration fetch yields the whole chunk list). The
-// caller decides the delivery class: reliably-received requests get
-// reliable responses, legacy requests are answered fire-and-forget.
+// (nil for none; a configuration fetch yields the whole chunk list), which
+// the caller pushes back as one reliable transfer.
 func (t *Transport) handle(ep core.ServerEndpoint, msgType byte, body []byte, from *net.UDPAddr) [][]byte {
 	one := func(d []byte) [][]byte { return [][]byte{d} }
 	switch msgType {
@@ -550,10 +533,6 @@ func (t *Transport) Close() error {
 	return err
 }
 
-// requestTimeout is the per-attempt control round-trip timeout of the
-// legacy (ARQ-disabled) path.
-const requestTimeout = 2 * time.Second
-
 // recvBufferSize is the socket receive buffer both sides request (best
 // effort — the kernel clamps it to net.core.rmem_max). It covers a full
 // ARQ window of configuration chunks so a burst does not shed datagrams
@@ -569,18 +548,17 @@ const controlQueue = 64
 // for control messages plus an async dispatch loop for pushed data frames.
 // It implements core.ClientLink.
 //
-// Control round trips ride the ARQ layer by default: the request goes out
-// as a reliable transfer (retransmitted on a backed-off timer until the
-// server acknowledges it) and the response arrives as a reliable transfer
-// from the server. Dial with LinkRetransmit(RetransmitConfig{Disable:
-// true}) to fall back to the legacy blind-resend path.
+// Control round trips ride the ARQ layer: the request goes out as a
+// reliable transfer (retransmitted on a backed-off timer until the server
+// acknowledges it) and the response arrives as a reliable transfer from
+// the server.
 type Link struct {
 	conn    *net.UDPConn
 	control chan []byte // control responses (type+body), copied out of the read buffer
 	frames  chan []byte // pushed data datagrams (type+body) in pooled buffers the queue owns
 
 	cfg    RetransmitConfig
-	arq    *arq       // nil when cfg.Disable
+	arq    *arq
 	filter SendFilter // control-path impairment seam (tests)
 
 	ctrlMu sync.Mutex // serialises control-plane round trips
@@ -596,8 +574,7 @@ type Link struct {
 // DialOption configures a Link at Dial time.
 type DialOption func(*Link)
 
-// LinkRetransmit sets the link's ARQ tuning (zero value = defaults,
-// enabled; RetransmitConfig.Disable opts out).
+// LinkRetransmit sets the link's ARQ tuning (zero value = defaults).
 func LinkRetransmit(cfg RetransmitConfig) DialOption {
 	return func(l *Link) { l.cfg = cfg }
 }
@@ -632,11 +609,9 @@ func Dial(ctx context.Context, server string, opts ...DialOption) (*Link, error)
 	for _, opt := range opts {
 		opt(l)
 	}
-	if !l.cfg.Disable {
-		l.arq = newARQ(l.cfg, func(_ *net.UDPAddr, datagram []byte) error {
-			return l.send(datagram)
-		}, nil)
-	}
+	l.arq = newARQ(l.cfg, func(_ *net.UDPAddr, datagram []byte) error {
+		return l.send(datagram)
+	}, nil)
 	go l.readLoop()
 	return l, nil
 }
@@ -653,14 +628,8 @@ func (l *Link) send(datagram []byte) error {
 	return raw(datagram)
 }
 
-// ARQStats reports the link-side reliability counters (zero value when
-// the ARQ layer is disabled).
-func (l *Link) ARQStats() ARQStats {
-	if l.arq == nil {
-		return ARQStats{}
-	}
-	return l.arq.snapshot()
-}
+// ARQStats reports the link-side reliability counters.
+func (l *Link) ARQStats() ARQStats { return l.arq.snapshot() }
 
 // readLoop reads datagrams into pooled buffers. Data frames travel to the
 // dispatch loop inside their receive buffer — ownership moves with them
@@ -686,33 +655,26 @@ func (l *Link) readLoop() {
 			}
 			continue
 		}
-		if l.arq != nil {
-			switch buf[0] {
-			case MsgRel:
-				// Reliable control from the server: unwrap, deduplicate
-				// and acknowledge. A full control queue refuses delivery,
-				// which withholds the ack — the server retransmits, so
-				// nothing acknowledged is ever shed.
-				l.arq.handleRel("", nil, buf[1:n], func(inner []byte) bool {
-					msg := append([]byte(nil), inner...)
-					select {
-					case l.control <- msg:
-						return true
-					default:
-						return false
-					}
-				})
-				continue
-			case MsgAck:
-				l.arq.handleAck("", buf[1:n])
-				continue
-			}
+		switch buf[0] {
+		case MsgRel:
+			// Reliable control from the server: unwrap, deduplicate and
+			// acknowledge. A full control queue refuses delivery, which
+			// withholds the ack — the server retransmits, so nothing
+			// acknowledged is ever shed.
+			l.arq.handleRel("", nil, buf[1:n], func(inner []byte) bool {
+				msg := append([]byte(nil), inner...)
+				select {
+				case l.control <- msg:
+					return true
+				default:
+					return false
+				}
+			})
+		case MsgAck:
+			l.arq.handleAck("", buf[1:n])
 		}
-		msg := append([]byte(nil), buf[:n]...)
-		select {
-		case l.control <- msg:
-		default:
-		}
+		// The server only ever sends control inside reliable envelopes;
+		// anything else is dropped.
 	}
 }
 
@@ -728,46 +690,13 @@ func (l *Link) drainControl() {
 	}
 }
 
-// request performs one control round trip, honouring ctx. With the ARQ
-// layer the request goes out as a reliable transfer (the layer's timers
-// replace the legacy blind resend) and failure surfaces as soon as the
-// retry budget is spent; without it, three blind attempts as before.
+// request performs one control round trip, honouring ctx: the request goes
+// out as a reliable transfer, the response arrives as one, and failure
+// surfaces as soon as the retry budget is spent.
 func (l *Link) request(ctx context.Context, datagram []byte) (byte, []byte, error) {
 	l.ctrlMu.Lock()
 	defer l.ctrlMu.Unlock()
 	l.drainControl()
-	if l.arq != nil {
-		return l.requestReliable(ctx, datagram)
-	}
-	for attempt := 0; attempt < 3; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return 0, nil, err
-		}
-		if err := l.send(datagram); err != nil {
-			return 0, nil, err
-		}
-		select {
-		case resp := <-l.control:
-			msgType, body, err := Decode(resp)
-			if err != nil {
-				return 0, nil, err
-			}
-			if msgType == MsgError {
-				return 0, nil, serverError(body)
-			}
-			return msgType, body, nil
-		case <-ctx.Done():
-			return 0, nil, ctx.Err()
-		case <-l.closed:
-			return 0, nil, ErrLinkClosed
-		case <-time.After(requestTimeout):
-		}
-	}
-	return 0, nil, fmt.Errorf("udptransport: no response from server")
-}
-
-// requestReliable is the ARQ round trip. Callers hold ctrlMu.
-func (l *Link) requestReliable(ctx context.Context, datagram []byte) (byte, []byte, error) {
 	x, err := l.arq.send("", nil, [][]byte{datagram})
 	if err != nil {
 		return 0, nil, err
@@ -875,38 +804,25 @@ func (l *Link) Resume(ctx context.Context, r *vpn.ResumeRequest) (*vpn.ResumeRep
 }
 
 // FetchConfig implements core.ClientLink: request a blob (0 = latest) and
-// reassemble the chunk stream. With the ARQ layer the chunk stream is a
-// reliable transfer — lost chunks are retransmitted (and holes actively
-// re-requested by the receiver's gap probes) instead of timing out the
-// whole fetch; the Assembler rejects inconsistent chunk streams with
-// typed errors either way.
+// reassemble the chunk stream. The chunk stream is a reliable transfer —
+// lost chunks are retransmitted (and holes actively re-requested by the
+// receiver's gap probes) instead of timing out the whole fetch; the
+// Assembler rejects inconsistent chunk streams with typed errors.
 func (l *Link) FetchConfig(ctx context.Context, version uint64) ([]byte, error) {
 	l.ctrlMu.Lock()
 	defer l.ctrlMu.Unlock()
 	l.drainControl()
 	var v [8]byte
 	binary.BigEndian.PutUint64(v[:], version)
-	fetch := Encode(MsgFetch, v[:])
-	fetchDeadline := 5 * time.Second
-	var x *xmit
-	if l.arq != nil {
-		var err error
-		if x, err = l.arq.send("", nil, [][]byte{fetch}); err != nil {
-			return nil, err
-		}
-		defer l.arq.cancel(x)
-		// Request transfer plus a chunk-stream transfer, worst case.
-		fetchDeadline = 2 * l.cfg.TransferDeadline()
-	} else if err := l.send(fetch); err != nil {
+	x, err := l.arq.send("", nil, [][]byte{Encode(MsgFetch, v[:])})
+	if err != nil {
 		return nil, err
 	}
+	defer l.arq.cancel(x)
 	var asm Assembler
-	deadline := time.NewTimer(fetchDeadline)
+	// Request transfer plus a chunk-stream transfer, worst case.
+	deadline := time.NewTimer(2 * l.cfg.TransferDeadline())
 	defer deadline.Stop()
-	var failed chan error
-	if x != nil {
-		failed = x.failed
-	}
 	for {
 		select {
 		case resp := <-l.control:
@@ -926,7 +842,7 @@ func (l *Link) FetchConfig(ctx context.Context, version uint64) ([]byte, error) 
 					return asm.Blob()
 				}
 			}
-		case err := <-failed:
+		case err := <-x.failed:
 			return nil, fmt.Errorf("udptransport: fetch undeliverable: %w", err)
 		case <-ctx.Done():
 			return nil, ctx.Err()
@@ -1046,9 +962,7 @@ func (l *Link) Close() error {
 	var err error
 	l.closeOnce.Do(func() {
 		close(l.closed)
-		if l.arq != nil {
-			l.arq.close()
-		}
+		l.arq.close()
 		err = l.conn.Close()
 	})
 	return err

@@ -12,8 +12,8 @@ import (
 type ClientOptions struct {
 	// ID identifies the client to the server. Required.
 	ID string
-	// Plane seals and opens data-channel payloads. For EndBox this wraps
-	// the enclave (one ecall per packet); for vanilla OpenVPN it is a
+	// Plane seals and opens data-channel slabs. For EndBox this wraps the
+	// enclave (one ecall per slab); for vanilla OpenVPN it is a
 	// PlainDataPlane. Required.
 	Plane DataPlane
 	// Send transmits frames to the server. Required.
@@ -74,59 +74,39 @@ func NewClient(opts ClientOptions) (*Client, error) {
 	return &Client{opts: opts}, nil
 }
 
-// SendPacket tunnels one IP packet: tag, hand to the data plane (Click +
-// seal inside the enclave for EndBox) and transmit. A middlebox drop is
-// reported as ErrDropped. The encapsulation payload and the sealed frame
-// both cycle through the wire buffer pool: planes must return frames that
-// do not alias the payload and must not retain either buffer.
+// SendPacket tunnels one IP packet — SendPackets with a slab of one. A
+// middlebox drop is reported as ErrDropped.
 func (c *Client) SendPacket(ip []byte) error {
-	payload := wire.GetBuffer(1 + len(ip))
-	payload[0] = FrameData
-	copy(payload[1:], ip)
-	frame, err := c.opts.Plane.SealOutbound(payload)
-	wire.PutBuffer(payload)
-	if err != nil {
-		return err
-	}
-	err = c.opts.Send(frame)
-	wire.PutBuffer(frame)
+	one := [1][]byte{ip}
+	_, err := c.SendPackets(one[:])
 	return err
 }
 
-// SendPackets tunnels a batch of IP packets. On a SlabDataPlane the whole
-// batch crosses the enclave boundary packed into a single pooled slab
-// (one buffer each way, no per-packet allocation); otherwise it falls
-// back to per-packet sealing. Middlebox drops skip the affected packet
-// without aborting the batch. It returns the number of frames handed to
-// the transport and the first error encountered (drops included).
+// SendPackets tunnels a batch of IP packets: the batch is packed into
+// pooled request slabs, each slab crosses the data plane once (Click + seal
+// inside the enclave for EndBox) and the resulting frames are transmitted.
+// Middlebox drops skip the affected packet without aborting the batch. It
+// returns the number of frames handed to the transport and the first error
+// encountered (drops included).
 func (c *Client) SendPackets(ips [][]byte) (int, error) {
-	if sp, ok := c.opts.Plane.(SlabDataPlane); ok {
-		return c.sendPacketsSlab(sp, ips)
-	}
-	sent := 0
-	var firstErr error
-	for _, ip := range ips {
-		if err := c.SendPacket(ip); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		sent++
-	}
-	return sent, firstErr
-}
-
-// sendPacketsSlab packs the burst into pooled request slabs, seals each
-// slab in one crossing and transmits the resulting frames.
-func (c *Client) sendPacketsSlab(sp SlabDataPlane, ips [][]byte) (int, error) {
-	return c.runSlabBatch(sp.SlabBudget(), ips,
+	return c.runSlabBatch(ips,
 		func(slab, ip []byte) []byte { return AppendSlabFrame(slab, FrameData, ip) },
 		func(ip []byte) int { return SlabSize(1 + len(ip)) },
-		sp.SealOutboundSlab,
+		c.opts.Plane.SealSlab,
 		c.opts.Send,
 	)
 }
+
+// sendControl seals one already-encapsulated control payload (ping, nack,
+// health report) as a slab of one and transmits it in the control class.
+func (c *Client) sendControl(payload []byte) error {
+	one := [1][]byte{payload}
+	_, err := c.runSlabBatch(one[:], AppendSlabEntry, slabEntrySize, c.opts.Plane.SealSlab, c.opts.SendControl)
+	return err
+}
+
+// slabEntrySize is the slab bytes a verbatim entry occupies.
+func slabEntrySize(entry []byte) int { return SlabSize(len(entry)) }
 
 // runSlabBatch is the shared chunk-and-flush skeleton of the slab data
 // paths: pack items into pooled request slabs, cross the boundary once per
@@ -138,13 +118,13 @@ func (c *Client) sendPacketsSlab(sp SlabDataPlane, ips [][]byte) (int, error) {
 // It returns the number of entries consumed without error and the first
 // per-entry error (a malformed slab or boundary failure aborts instead).
 func (c *Client) runSlabBatch(
-	budget int,
 	items [][]byte,
 	appendEntry func(slab, item []byte) []byte,
 	entrySize func(item []byte) int,
 	cross func(slab []byte) ([]byte, error),
 	consume func(data []byte) error,
 ) (int, error) {
+	budget := c.opts.Plane.SlabBudget()
 	want := 0
 	for _, item := range items {
 		want += entrySize(item)
@@ -192,8 +172,7 @@ func (c *Client) runSlabBatch(
 		need := entrySize(item)
 		if need+slabResultOverhead > budget {
 			// Too large to ever cross the boundary, even alone in a slab:
-			// fail this item and keep the rest of the batch going, matching
-			// the per-packet path's behaviour for oversized packets.
+			// fail this item and keep the rest of the batch going.
 			if firstErr == nil {
 				firstErr = fmt.Errorf("vpn: packet of %d bytes exceeds the %d-byte slab budget", need, budget)
 			}
@@ -213,54 +192,24 @@ func (c *Client) runSlabBatch(
 	return done, firstErr
 }
 
-// HandleFrame processes a frame from the server: open (verify, decrypt,
-// replay-check, run ingress middlebox), then deliver data or record pings.
+// HandleFrame processes a frame from the server — HandleFrames with a slab
+// of one.
 func (c *Client) HandleFrame(frame []byte) error {
-	payload, err := c.opts.Plane.OpenInbound(frame)
-	if err != nil {
-		return err
-	}
-	return c.dispatchPayload(payload)
+	one := [1][]byte{frame}
+	_, err := c.HandleFrames(one[:])
+	return err
 }
 
-// HandleFrames processes a burst of frames from the server. On a
-// SlabIngressPlane the burst crosses the enclave boundary packed into a
-// single pooled slab (one buffer each way — the ingress mirror of
-// SendPackets' slab path); otherwise it falls back to per-frame opening.
-// Dropped or malformed frames are skipped without aborting the burst. It
-// returns the number of frames fully handled and the first error
-// encountered (drops included).
+// HandleFrames processes a burst of frames from the server: the burst is
+// packed into pooled request slabs, each slab crosses the data plane once
+// (verify, decrypt, replay-check, ingress middlebox) and the opened
+// payloads are dispatched — data delivered, pings recorded. Payloads are
+// delivered synchronously and alias the pooled result slab, which is
+// released before returning. Dropped or malformed frames are skipped
+// without aborting the burst. It returns the number of frames fully
+// handled and the first error encountered (drops included).
 func (c *Client) HandleFrames(frames [][]byte) (int, error) {
-	if sp, ok := c.opts.Plane.(SlabIngressPlane); ok {
-		return c.handleFramesSlab(sp, frames)
-	}
-	handled := 0
-	var firstErr error
-	for _, f := range frames {
-		err := c.HandleFrame(f)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		handled++
-	}
-	return handled, firstErr
-}
-
-// handleFramesSlab packs a received burst into pooled request slabs,
-// opens each slab in one enclave crossing and dispatches the resulting
-// payloads. Opened payloads are delivered to the application
-// synchronously and alias the pooled result slab, which is released
-// before returning.
-func (c *Client) handleFramesSlab(sp SlabIngressPlane, frames [][]byte) (int, error) {
-	return c.runSlabBatch(sp.SlabBudget(), frames,
-		AppendSlabEntry,
-		func(f []byte) int { return SlabSize(len(f)) },
-		sp.OpenInboundSlab,
-		c.dispatchPayload,
-	)
+	return c.runSlabBatch(frames, AppendSlabEntry, slabEntrySize, c.opts.Plane.OpenSlab, c.dispatchPayload)
 }
 
 // dispatchPayload routes one opened payload: deliver data or record pings.
@@ -299,11 +248,7 @@ func (c *Client) SendPing() error {
 		SentUnixNano:  c.opts.Clock().UnixNano(),
 		ConfigVersion: c.opts.ConfigVersion(),
 	}
-	frame, err := c.opts.Plane.SealOutbound(EncodePing(ping))
-	if err != nil {
-		return err
-	}
-	return c.opts.SendControl(frame)
+	return c.sendControl(EncodePing(ping))
 }
 
 // LastPing returns the most recent ping received from the server.

@@ -217,14 +217,24 @@ func DecodePing(body []byte) (Ping, error) {
 	}, nil
 }
 
-// DataPlane seals outgoing tunnel payloads into wire frames and opens
-// incoming frames. EndBox's implementation is a single ecall that runs
-// Click and the channel crypto inside the enclave (paper §IV-A: "ENDBOX
-// performs only one ecall per sent or received packet"); the vanilla
-// implementation is a bare wire.Session.
+// DataPlane is the one seam between the VPN client and whatever protects
+// its data channel. Everything crosses it as a slab (slab.go): a burst — or
+// a lone packet, as a slab of one — packed into one contiguous buffer each
+// way. EndBox's implementation is one ecall per slab running Click and the
+// channel crypto inside the enclave (paper §IV-A: "ENDBOX performs only one
+// ecall per sent or received packet"); the vanilla implementation is a bare
+// wire.Session. Result slabs are pooled: the caller releases them with
+// wire.PutBuffer once every entry has been consumed.
 type DataPlane interface {
-	SealOutbound(payload []byte) ([]byte, error)
-	OpenInbound(frame []byte) ([]byte, error)
+	// SealSlab seals every entry of a request slab (entries are
+	// `opcode || body` encapsulations) and returns the result slab.
+	SealSlab(slab []byte) ([]byte, error)
+	// OpenSlab opens every entry of a request slab (entries are sealed
+	// wire frames, decrypted in place) and returns the result slab.
+	OpenSlab(slab []byte) ([]byte, error)
+	// SlabBudget bounds the slab bytes one call carries in either
+	// direction (the enclave's boundary limit).
+	SlabBudget() int
 }
 
 // ErrDropped signals that the middlebox rejected the packet; it is not a
@@ -237,15 +247,19 @@ type PlainDataPlane struct {
 	Session *wire.Session
 }
 
-// SealOutbound implements DataPlane.
-func (p *PlainDataPlane) SealOutbound(payload []byte) ([]byte, error) {
-	return p.Session.Seal(payload)
+// SealSlab implements DataPlane.
+func (p *PlainDataPlane) SealSlab(slab []byte) ([]byte, error) {
+	return MapSlab(slab, p.Session.Seal)
 }
 
-// OpenInbound implements DataPlane.
-func (p *PlainDataPlane) OpenInbound(frame []byte) ([]byte, error) {
-	return p.Session.Open(frame)
+// OpenSlab implements DataPlane.
+func (p *PlainDataPlane) OpenSlab(slab []byte) ([]byte, error) {
+	return MapSlab(slab, p.Session.OpenInPlace)
 }
+
+// SlabBudget implements DataPlane: there is no boundary to fit, so the
+// budget only bounds the pooled slab buffers.
+func (p *PlainDataPlane) SlabBudget() int { return 256 << 10 }
 
 // Clock abstracts time for virtual-time tests.
 type Clock func() time.Time

@@ -100,11 +100,7 @@ func (c *Client) SendNack(n Nack) error {
 	if err != nil {
 		return err
 	}
-	frame, err := c.opts.Plane.SealOutbound(payload)
-	if err != nil {
-		return err
-	}
-	return c.opts.SendControl(frame)
+	return c.sendControl(payload)
 }
 
 // SendHealth seals and sends a health report to the server.
@@ -113,9 +109,5 @@ func (c *Client) SendHealth(h HealthReport) error {
 	if err != nil {
 		return err
 	}
-	frame, err := c.opts.Plane.SealOutbound(payload)
-	if err != nil {
-		return err
-	}
-	return c.opts.SendControl(frame)
+	return c.sendControl(payload)
 }

@@ -1,11 +1,8 @@
-// Slab-batched enclave crossings.
+// Slab enclave crossings: the only shape data takes across the DataPlane.
 //
-// PR 2's batched ecalls moved a [][]byte across the enclave boundary: one
-// boundary crossing, but still one heap allocation per packet on each side
-// (the payload slices, the result structs, the slice-of-slices itself). A
-// slab packs a whole burst into ONE contiguous, pooled buffer, so the
-// boundary sees a single []byte in each direction and the steady-state
-// batch path allocates nothing.
+// A slab packs a burst — or a lone packet, as a slab of one — into ONE
+// contiguous, pooled buffer, so the boundary sees a single []byte in each
+// direction and the steady-state path allocates nothing per packet.
 //
 // Request slab — a sequence of length-prefixed entries:
 //
@@ -247,28 +244,29 @@ func (r *ResultReader) Next() (data []byte, entryErr error, ok bool) {
 // Err reports a malformed result slab encountered during the walk.
 func (r *ResultReader) Err() error { return r.err }
 
-// SlabDataPlane is implemented by data planes whose egress burst crosses
-// the enclave boundary as one contiguous slab: a single []byte argument
-// and a single []byte result, with no per-packet allocation at the
-// boundary. The result slab is pooled; the caller must release it with
-// wire.PutBuffer once every entry has been consumed.
-type SlabDataPlane interface {
-	// SealOutboundSlab seals every entry of a request slab (entries are
-	// `opcode || ip` encapsulations) and returns the result slab.
-	SealOutboundSlab(slab []byte) ([]byte, error)
-	// SlabBudget bounds the request-slab bytes one call accepts (the
-	// enclave's boundary limit). Calls above the budget fail.
-	SlabBudget() int
-}
-
-// SlabIngressPlane is the ingress mirror of SlabDataPlane: a received
-// burst of sealed frames crosses the boundary as one slab and the opened
-// payloads come back in one pooled result slab (release with
-// wire.PutBuffer).
-type SlabIngressPlane interface {
-	// OpenInboundSlab opens every entry of a request slab (entries are
-	// sealed wire frames) and returns the result slab.
-	OpenInboundSlab(slab []byte) ([]byte, error)
-	// SlabBudget bounds the request-slab bytes one call accepts.
-	SlabBudget() int
+// MapSlab serves a request slab the plain way: walk it entry by entry,
+// apply fn, and pack each result — or the error that excluded the entry —
+// into a pooled result slab. The baseline and ablation planes and the
+// enclave's ingress ecall are written with it; the egress ecall seals in
+// place through AppendResultReserve instead. fn's result is copied before
+// the next call, so it may alias the entry or a scratch buffer.
+func MapSlab(slab []byte, fn func(entry []byte) ([]byte, error)) ([]byte, error) {
+	n, err := SlabCount(slab)
+	if err != nil {
+		return nil, err
+	}
+	res := wire.GetBuffer(ResultSlabCap(len(slab), n))[:0]
+	r := NewSlabReader(slab)
+	for {
+		entry, ok := r.Next()
+		if !ok {
+			return res, nil
+		}
+		out, err := fn(entry)
+		if err != nil {
+			res = AppendResultErr(res, err)
+			continue
+		}
+		res = AppendResultOK(res, out)
+	}
 }

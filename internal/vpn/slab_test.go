@@ -105,7 +105,7 @@ func TestResultSlabRoundTrip(t *testing.T) {
 	}
 }
 
-// slabPlane adapts a wire session pair into both slab plane interfaces, so
+// slabPlane adapts a wire session pair into a counting DataPlane, so
 // the client's slab paths can be tested without an enclave.
 type slabPlane struct {
 	seal   *wire.Session // client->server direction
@@ -116,7 +116,7 @@ type slabPlane struct {
 
 func (p *slabPlane) SlabBudget() int { return p.budget }
 
-func (p *slabPlane) SealOutboundSlab(slab []byte) ([]byte, error) {
+func (p *slabPlane) SealSlab(slab []byte) ([]byte, error) {
 	p.calls++
 	n, err := SlabCount(slab)
 	if err != nil {
@@ -142,7 +142,7 @@ func (p *slabPlane) SealOutboundSlab(slab []byte) ([]byte, error) {
 	return res, r.Err()
 }
 
-func (p *slabPlane) OpenInboundSlab(slab []byte) ([]byte, error) {
+func (p *slabPlane) OpenSlab(slab []byte) ([]byte, error) {
 	p.calls++
 	res := wire.GetBuffer(len(slab))[:0]
 	r := NewSlabReader(slab)
@@ -160,9 +160,6 @@ func (p *slabPlane) OpenInboundSlab(slab []byte) ([]byte, error) {
 	}
 	return res, r.Err()
 }
-
-func (p *slabPlane) SealOutbound(payload []byte) ([]byte, error) { return p.seal.Seal(payload) }
-func (p *slabPlane) OpenInbound(frame []byte) ([]byte, error)    { return p.open.Open(frame) }
 
 func newSlabPlanePair(t *testing.T, budget int) (cli *slabPlane, srv *wire.Session, down *wire.Session) {
 	t.Helper()

@@ -2,42 +2,30 @@ package endbox
 
 import (
 	"time"
+
+	"endbox/internal/core"
 )
 
-// Option configures a Deployment built with New. Options layer over the
-// DeploymentOptions struct, so the two construction paths compose: an
-// option is just a function mutating the struct.
-type Option func(*DeploymentOptions)
+// Option configures a Deployment built with New.
+type Option func(*core.DeploymentOptions)
 
 // WithWireMode selects the data-channel protection: WireEncrypted (the
 // enterprise default) or WireIntegrityOnly (the ISP opt-in, paper §IV-A).
 func WithWireMode(m WireMode) Option {
-	return func(o *DeploymentOptions) { o.Mode = m }
+	return func(o *core.DeploymentOptions) { o.Mode = m }
 }
 
 // WithEncryptedConfigs encrypts published configuration updates with the
 // CA's shared key so only attested enclaves can read the rules (the
 // enterprise scenario; the ISP scenario publishes plaintext).
 func WithEncryptedConfigs() Option {
-	return func(o *DeploymentOptions) { o.EncryptConfigs = true }
-}
-
-// WithServerUseCase attaches a server-side Click pipeline running the
-// given use case — the OpenVPN+Click baseline the paper compares against.
-func WithServerUseCase(u UseCase) Option {
-	return func(o *DeploymentOptions) { o.ServerUseCase = u }
-}
-
-// WithClock sets the deployment-wide time source, letting tests and
-// virtual-time experiments drive grace periods deterministically.
-func WithClock(now func() time.Time) Option {
-	return func(o *DeploymentOptions) { o.Clock = now }
+	return func(o *core.DeploymentOptions) { o.EncryptConfigs = true }
 }
 
 // WithObserver installs the deployment's data-path observer. Repeated use
 // composes: all observers receive every event.
 func WithObserver(obs Observer) Option {
-	return func(o *DeploymentOptions) {
+	return func(o *core.DeploymentOptions) {
 		if o.Observer != nil {
 			o.Observer = MultiObserver(o.Observer, obs)
 			return
@@ -49,7 +37,7 @@ func WithObserver(obs Observer) Option {
 // WithTransport selects the transport carrying frames between the server
 // and its clients (default: in-process direct calls).
 func WithTransport(t Transport) Option {
-	return func(o *DeploymentOptions) { o.Transport = t }
+	return func(o *core.DeploymentOptions) { o.Transport = t }
 }
 
 // WithShards sets the server session-table shard count. Session lookups
@@ -59,7 +47,7 @@ func WithTransport(t Transport) Option {
 // of two; the default (0) matches the CPU count; 1 reproduces the
 // monolithic single-lock table as a baseline.
 func WithShards(n int) Option {
-	return func(o *DeploymentOptions) { o.Shards = n }
+	return func(o *core.DeploymentOptions) { o.Shards = n }
 }
 
 // WithUDPWorkers pipelines the UDP server's datagram ingress across n
@@ -68,20 +56,19 @@ func WithShards(n int) Option {
 // hash that places it in a table shard, preserving per-client frame
 // ordering while different clients' frames proceed in parallel.
 func WithUDPWorkers(n int) Option {
-	return func(o *DeploymentOptions) { o.UDPWorkers = n }
+	return func(o *core.DeploymentOptions) { o.UDPWorkers = n }
 }
 
 // WithRetransmit tunes the control-path ARQ layer of transports that
 // support reliable delivery (the UDP transport; the in-process transport
-// cannot lose messages and ignores it). The ARQ layer is on by default
-// with sensible timers — use this option to tighten them for tests, widen
-// them for high-latency links, or disable the layer entirely
-// (RetransmitConfig{Disable: true}) to reproduce the fire-and-forget
-// behaviour. Data-channel frames are never retransmitted: reliability is
-// a control/configuration concern, and the zero-allocation data path is
-// untouched. See docs/PROTOCOL.md for the ACK/retransmit state machines.
+// cannot lose messages and ignores it). The ARQ layer has sensible default
+// timers — use this option to tighten them for tests or widen them for
+// high-latency links. Data-channel frames are never retransmitted:
+// reliability is a control/configuration concern, and the zero-allocation
+// data path is untouched. See docs/PROTOCOL.md for the ACK/retransmit state
+// machines.
 func WithRetransmit(cfg RetransmitConfig) Option {
-	return func(o *DeploymentOptions) { o.Retransmit = cfg }
+	return func(o *core.DeploymentOptions) { o.Retransmit = cfg }
 }
 
 // WithLossProfile injects deterministic, seeded impairment — drops,
@@ -91,7 +78,7 @@ func WithRetransmit(cfg RetransmitConfig) Option {
 // and the ARQ layer (WithRetransmit) must recover. A zero profile impairs
 // nothing. Data frames bypass the profile along with the ARQ layer.
 func WithLossProfile(p LossProfile) Option {
-	return func(o *DeploymentOptions) { o.LossProfile = p }
+	return func(o *core.DeploymentOptions) { o.LossProfile = p }
 }
 
 // WithFlowTable sizes every client enclave's flow-state table: capacity
@@ -101,7 +88,7 @@ func WithLossProfile(p LossProfile) Option {
 // expire. Zero values keep the defaults (16384 flows, 2 minutes).
 // ClientSpec.FlowCapacity/FlowTTL override per client.
 func WithFlowTable(capacity int, ttl time.Duration) Option {
-	return func(o *DeploymentOptions) {
+	return func(o *core.DeploymentOptions) {
 		o.FlowCapacity = capacity
 		o.FlowTTL = ttl
 	}
@@ -111,14 +98,7 @@ func WithFlowTable(capacity int, ttl time.Duration) Option {
 // to the sending client (src/dst swapped, ICMP echoes answered) —
 // modelling a server answering, used by latency measurements and demos.
 func WithEchoNetwork() Option {
-	return func(o *DeploymentOptions) { o.EchoNetwork = true }
-}
-
-// WithClientRouting relays packets addressed to another connected client's
-// tunnel address, preserving the 0xeb processed flag (paper §IV-A
-// client-to-client communication).
-func WithClientRouting() Option {
-	return func(o *DeploymentOptions) { o.RouteBetweenClients = true }
+	return func(o *core.DeploymentOptions) { o.EchoNetwork = true }
 }
 
 // WithSessionTTL enables liveness-driven session eviction: a client whose
@@ -129,14 +109,14 @@ func WithClientRouting() Option {
 // behaviour. Evicted clients can reconnect (full handshake) or resume
 // (Deployment.ResumeClient) at any time.
 func WithSessionTTL(ttl time.Duration) Option {
-	return func(o *DeploymentOptions) { o.SessionTTL = ttl }
+	return func(o *core.DeploymentOptions) { o.SessionTTL = ttl }
 }
 
 // WithSweepInterval overrides the eviction sweeper's cadence (default
 // SessionTTL/4). A negative interval disables the background goroutine so
 // tests with fake clocks can drive Deployment.SweepSessions manually.
 func WithSweepInterval(interval time.Duration) Option {
-	return func(o *DeploymentOptions) { o.SweepInterval = interval }
+	return func(o *core.DeploymentOptions) { o.SweepInterval = interval }
 }
 
 // WithAdmission enables handshake admission control: a token bucket on
@@ -147,7 +127,7 @@ func WithSweepInterval(interval time.Duration) Option {
 // zero config disables admission entirely; zero-valued fields within a
 // non-zero config leave that particular limit unenforced.
 func WithAdmission(cfg AdmissionConfig) Option {
-	return func(o *DeploymentOptions) { o.Admission = cfg }
+	return func(o *core.DeploymentOptions) { o.Admission = cfg }
 }
 
 // WithFailurePolicy tunes element fault containment: the number of
@@ -157,15 +137,7 @@ func WithAdmission(cfg AdmissionConfig) Option {
 // is safer than a blackhole, e.g. a NOP accounting stage). Containment
 // itself is always on under this option.
 func WithFailurePolicy(p FailurePolicy) Option {
-	return func(o *DeploymentOptions) { o.FailurePolicy = p }
-}
-
-// WithoutContainment disables element fault containment entirely: an
-// element panic propagates out of the enclave ecall and crashes the
-// process, the pre-robustness behaviour. Meant for debugging pipelines
-// under development, where a loud crash beats a quarantine.
-func WithoutContainment() Option {
-	return func(o *DeploymentOptions) { o.DisableContainment = true }
+	return func(o *core.DeploymentOptions) { o.FailurePolicy = p }
 }
 
 // WithPolicy attaches an attested-identity policy registry to the
@@ -176,7 +148,7 @@ func WithoutContainment() Option {
 // from the revoked build are refused before any crypto, and its live
 // sessions are evicted (RevocationObserver.SessionRevoked fires).
 func WithPolicy(p *Policy) Option {
-	return func(o *DeploymentOptions) { o.Policy = p }
+	return func(o *core.DeploymentOptions) { o.Policy = p }
 }
 
 // WithSealToMeasurement opts targeted rollouts into measurement-sealed
@@ -186,13 +158,5 @@ func WithPolicy(p *Policy) Option {
 // builds fail with ErrSealedToOtherBuild and keep their last-known-good
 // configuration.
 func WithSealToMeasurement() Option {
-	return func(o *DeploymentOptions) { o.SealToMeasurement = true }
-}
-
-// WithTicketTTL bounds the age of resumption tickets accepted by fast
-// resume (see Deployment.ResumeClient). Zero accepts any ticket sealed
-// under the server's in-memory ticket key — which a server restart
-// discards, so tickets never outlive the process either way.
-func WithTicketTTL(ttl time.Duration) Option {
-	return func(o *DeploymentOptions) { o.TicketTTL = ttl }
+	return func(o *core.DeploymentOptions) { o.SealToMeasurement = true }
 }

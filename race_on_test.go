@@ -1,0 +1,7 @@
+//go:build race
+
+package endbox
+
+// raceEnabled skips exact allocation-count assertions under the race
+// detector, whose instrumentation defeats sync.Pool reuse.
+const raceEnabled = true
