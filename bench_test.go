@@ -14,6 +14,7 @@ import (
 
 	"endbox/internal/bench"
 	"endbox/internal/packet"
+	"endbox/mbox"
 )
 
 // sharedModel caches the calibration across benchmarks.
@@ -285,7 +286,7 @@ func BenchmarkUseCasePipelineLatency(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer d.Close()
-			cli, err := d.AddClient(context.Background(), "bench", ClientSpec{Mode: ModeSimulation, UseCase: uc})
+			cli, err := d.AddClient(context.Background(), "bench", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(uc)})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -319,9 +320,9 @@ func BenchmarkBatchSend(b *testing.B) {
 			}
 			defer d.Close()
 			cli, err := d.AddClient(context.Background(), "bench", ClientSpec{
-				Mode:    ModeHardware,
-				BurnCPU: true,
-				UseCase: UseCaseNOP,
+				Mode:     ModeHardware,
+				BurnCPU:  true,
+				Pipeline: mbox.Stock(UseCaseNOP),
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -16,6 +16,7 @@ import (
 
 	"endbox/internal/netsim"
 	"endbox/internal/packet"
+	"endbox/mbox"
 )
 
 // TestChaosCanaryAutoRollbackUDP is the acceptance scenario on the real
@@ -40,7 +41,7 @@ func TestChaosCanaryAutoRollbackUDP(t *testing.T) {
 
 	clients := make([]*Client, 4)
 	for i := range clients {
-		c, err := d.AddClient(ctx, fmt.Sprintf("chaos-%d", i), ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP})
+		c, err := d.AddClient(ctx, fmt.Sprintf("chaos-%d", i), ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(UseCaseNOP)})
 		if err != nil {
 			t.Fatalf("AddClient chaos-%d: %v", i, err)
 		}
@@ -48,7 +49,7 @@ func TestChaosCanaryAutoRollbackUDP(t *testing.T) {
 	}
 
 	// Known-good global v1 — the rollback point.
-	if err := d.Server.PublishUpdate(ctx, &Update{Version: 1, ClickConfig: StandardConfig(UseCaseNOP)}); err != nil {
+	if _, err := d.Rollout(ctx, Rollout{Version: 1, Pipeline: mbox.Stock(UseCaseNOP)}); err != nil {
 		t.Fatal(err)
 	}
 	waitVersion(t, d, clients, 1)
@@ -61,8 +62,8 @@ func TestChaosCanaryAutoRollbackUDP(t *testing.T) {
 	go func() {
 		res, err := d.RolloutCanary(ctx, CanaryRollout{
 			Rollout: Rollout{
-				Version:     2,
-				ClickConfig: "FromDevice -> Faulty(PANIC 3) -> ToDevice;",
+				Version:  2,
+				Pipeline: mbox.Raw("FromDevice -> Faulty(PANIC 3) -> ToDevice;"),
 			},
 			Fraction: 0.5, // cohort = chaos-0, chaos-1
 			Deadline: 45 * time.Second,
@@ -145,7 +146,7 @@ func TestChaosCorruptedControlPath(t *testing.T) {
 	}
 	defer d.Close()
 
-	cli, err := d.AddClient(ctx, "corrupt-client", ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP})
+	cli, err := d.AddClient(ctx, "corrupt-client", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(UseCaseNOP)})
 	if err != nil {
 		t.Fatalf("AddClient under corruption: %v", err)
 	}
@@ -153,10 +154,10 @@ func TestChaosCorruptedControlPath(t *testing.T) {
 		t.Fatalf("SendPacket: %v", err)
 	}
 
-	if err := d.Server.PublishUpdate(ctx, &Update{
-		Version:     2,
-		ClickConfig: StandardConfig(UseCaseFW),
-		RuleSets:    CommunityRuleSets(),
+	if _, err := d.Rollout(ctx, Rollout{
+		Version:  2,
+		Pipeline: mbox.Stock(UseCaseFW),
+		RuleSets: CommunityRuleSets(),
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -12,11 +12,13 @@ package endbox
 import (
 	"context"
 	"testing"
+
+	"endbox/mbox"
 )
 
 func BenchmarkChurn(b *testing.B) {
 	ctx := context.Background()
-	spec := ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP}
+	spec := ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(UseCaseNOP)}
 
 	// cold: AddClient + RemoveClient per iteration — quote, enrolment,
 	// certificate walk, ECDH, plus enclave construction and teardown.

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"endbox/internal/click"
-	"endbox/internal/config"
 	"endbox/internal/core"
 	"endbox/internal/packet"
 	"endbox/internal/sgx"
@@ -63,9 +62,9 @@ func TestConnectStaleTicketFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if err := d.Server.PublishUpdate(ctx, &config.Update{
-		Version:     1,
-		ClickConfig: click.StandardConfig(click.UseCaseNOP),
+	if _, err := d.Rollout(ctx, core.Rollout{
+		Version:  1,
+		Pipeline: click.StockPipeline(click.UseCaseNOP),
 	}); err != nil {
 		t.Fatal(err)
 	}

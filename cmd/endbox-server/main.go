@@ -43,7 +43,6 @@ func run() error {
 		pipeline    = flag.String("pipeline", "", "initial middlebox pipeline as raw Click configuration text (overrides -usecase; validated before publishing)")
 		grace       = flag.Int("grace", 30, "grace period in seconds for configuration updates")
 		updateAfter = flag.Int("update-after", 0, "publish a demo configuration update after N seconds (0 = never)")
-		shards      = flag.Int("shards", 0, "session-table shard count (0 = match CPUs, 1 = monolithic baseline)")
 		udpWorkers  = flag.Int("udp-workers", 0, "ingress worker pool size (0 = single serve goroutine)")
 		arqTimeout  = flag.Duration("arq-timeout", 200*time.Millisecond, "initial control-path retransmit timeout")
 		arqRetries  = flag.Int("arq-retries", 5, "control-path retransmit budget per transfer")
@@ -70,8 +69,9 @@ func run() error {
 	ctx := context.Background()
 
 	// Resolve the initial middlebox function: an explicit -pipeline, or
-	// the stock pipeline of -usecase. Either way it is compiled and
-	// validated here — a typo fails at startup, not inside an enclave.
+	// the stock pipeline of -usecase. Either way publishing it below
+	// compiles and validates it — a typo fails at startup, not inside an
+	// enclave.
 	uc, err := parseUseCase(*useCase)
 	if err != nil {
 		return err
@@ -81,10 +81,6 @@ func run() error {
 	if *pipeline != "" {
 		boot = mbox.Raw(*pipeline)
 		bootLabel = "custom pipeline"
-	}
-	bootCfg, err := mbox.Compile(boot, endbox.CommunityRuleSets())
-	if err != nil {
-		return fmt.Errorf("-pipeline: %w", err)
 	}
 
 	// Attested-identity policy: -allow-builds names the enclave builds
@@ -121,7 +117,6 @@ func run() error {
 
 	opts := []endbox.Option{
 		endbox.WithTransport(transport),
-		endbox.WithShards(*shards),
 		endbox.WithUDPWorkers(*udpWorkers),
 		endbox.WithRetransmit(endbox.RetransmitConfig{
 			Timeout:    *arqTimeout,
@@ -148,7 +143,7 @@ func run() error {
 		endbox.WithEchoNetwork(),
 	}
 	if pol != nil {
-		opts = append(opts, endbox.WithPolicy(pol), endbox.WithSealToMeasurement())
+		opts = append(opts, endbox.WithPolicy(pol))
 	}
 	deployment, err := endbox.New(opts...)
 	if err != nil {
@@ -191,28 +186,29 @@ func run() error {
 	// Publish the initial configuration as version 1 so clients can fetch
 	// it (they boot with the same use case, so this also exercises the
 	// update path when -update-after fires).
-	if err := deployment.Server.PublishUpdate(ctx, &endbox.Update{
+	if _, err := deployment.Rollout(ctx, endbox.Rollout{
 		Version:      1,
 		GraceSeconds: uint32(*grace),
-		ClickConfig:  bootCfg,
+		Pipeline:     boot,
 		RuleSets:     endbox.CommunityRuleSets(),
 	}); err != nil {
-		return err
+		return fmt.Errorf("initial configuration (-usecase/-pipeline): %w", err)
 	}
 
 	if *updateAfter > 0 {
 		go func() {
 			time.Sleep(time.Duration(*updateAfter) * time.Second)
+			demo := endbox.Rollout{
+				Version:      2,
+				GraceSeconds: uint32(*grace),
+				Pipeline:     mbox.Stock(endbox.UseCaseFW),
+				RuleSets:     endbox.CommunityRuleSets(),
+			}
 			if *canaryFrac > 0 {
 				log.Printf("staging demo update v2 as a canary to %.0f%% of the fleet (deadline %v)",
 					*canaryFrac*100, *canaryWait)
 				res, err := deployment.RolloutCanary(ctx, endbox.CanaryRollout{
-					Rollout: endbox.Rollout{
-						Version:      2,
-						GraceSeconds: uint32(*grace),
-						ClickConfig:  endbox.StandardConfig(endbox.UseCaseFW),
-						RuleSets:     endbox.CommunityRuleSets(),
-					},
+					Rollout:  demo,
 					Fraction: *canaryFrac,
 					Deadline: *canaryWait,
 				})
@@ -228,13 +224,7 @@ func run() error {
 				return
 			}
 			log.Printf("publishing demo update v2 (use case FW with tightened rules)")
-			err := deployment.Server.PublishUpdate(ctx, &endbox.Update{
-				Version:      2,
-				GraceSeconds: uint32(*grace),
-				ClickConfig:  endbox.StandardConfig(endbox.UseCaseFW),
-				RuleSets:     endbox.CommunityRuleSets(),
-			})
-			if err != nil {
+			if _, err := deployment.Rollout(ctx, demo); err != nil {
 				log.Printf("update failed: %v", err)
 			}
 		}()

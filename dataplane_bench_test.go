@@ -26,7 +26,7 @@ func benchDeployment(b *testing.B, clients int, opts ...Option) (*Deployment, []
 	cls := make([]*Client, clients)
 	for i := range cls {
 		cli, err := d.AddClient(context.Background(), fmt.Sprintf("bench-%d", i),
-			ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP})
+			ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(UseCaseNOP)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func benchDeployment(b *testing.B, clients int, opts ...Option) (*Deployment, []
 func BenchmarkDataPlaneThroughput(b *testing.B) {
 	for _, clients := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("sharded/clients=%d", clients), func(b *testing.B) {
-			_, cls := benchDeployment(b, clients, WithShards(16))
+			_, cls := benchDeployment(b, clients, withShards(16))
 			pkt := testPacket(1500)
 			var next atomic.Int64
 			b.ReportAllocs()
@@ -80,14 +80,14 @@ func BenchmarkDataPlanePath(b *testing.B) {
 			{"sharded+batched+conntrack", true},
 		} {
 			b.Run(fmt.Sprintf("%s/clients=%d", cfg.name, clients), func(b *testing.B) {
-				d, err := New(WithShards(16))
+				d, err := New(withShards(16))
 				if err != nil {
 					b.Fatal(err)
 				}
 				defer d.Close()
 				cls := make([]*Client, clients)
 				for i := range cls {
-					spec := ClientSpec{Mode: ModeHardware, BurnCPU: true, UseCase: UseCaseNOP}
+					spec := ClientSpec{Mode: ModeHardware, BurnCPU: true, Pipeline: mbox.Stock(UseCaseNOP)}
 					if cfg.conntrack {
 						spec.Pipeline = mbox.Chain(mbox.ConnTrack(mbox.ConnTrackOptions{}))
 					}
@@ -138,9 +138,9 @@ func BenchmarkBatchIngress(b *testing.B) {
 			}
 			defer d.Close()
 			cli, err := d.AddClient(context.Background(), "bench", ClientSpec{
-				Mode:    ModeHardware,
-				BurnCPU: true,
-				UseCase: UseCaseNOP,
+				Mode:     ModeHardware,
+				BurnCPU:  true,
+				Pipeline: mbox.Stock(UseCaseNOP),
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -12,11 +12,19 @@ import (
 	"sync"
 	"testing"
 
+	"endbox/internal/core"
 	"endbox/internal/packet"
 	"endbox/internal/vpn"
 	"endbox/internal/wire"
 	"endbox/mbox"
 )
+
+// withShards pins the server session-table shard count, which deployments
+// otherwise take from dataplane.DefaultShards — for the tests and
+// benchmarks that show one shard and many behave alike.
+func withShards(n int) Option {
+	return func(o *core.DeploymentOptions) { o.Shards = n }
+}
 
 // TestSharded64ClientsConcurrent drives 64 clients through one deployment
 // from concurrent goroutines — the sharded-table stress the monolithic
@@ -26,7 +34,7 @@ func TestSharded64ClientsConcurrent(t *testing.T) {
 	const clients = 64
 	const packetsPerClient = 10
 
-	d, err := New(WithShards(16))
+	d, err := New(withShards(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +50,7 @@ func TestSharded64ClientsConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			id := fmt.Sprintf("shard-c%d", i)
-			cli, err := d.AddClient(ctx, id, ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP})
+			cli, err := d.AddClient(ctx, id, ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(UseCaseNOP)})
 			if err != nil {
 				errs <- fmt.Errorf("AddClient(%s): %w", id, err)
 				return
@@ -91,8 +99,8 @@ func TestClientStatsPublicAPI(t *testing.T) {
 	}
 	defer d.Close()
 	cli, err := d.AddClient(ctx, "stats", ClientSpec{
-		Mode:        ModeSimulation,
-		ClickConfig: "FromDevice -> IPFilter(drop dst host 203.0.113.9, allow all) -> ToDevice;",
+		Mode:     ModeSimulation,
+		Pipeline: mbox.Raw("FromDevice -> IPFilter(drop dst host 203.0.113.9, allow all) -> ToDevice;"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +139,7 @@ func TestClientStatsPublicAPI(t *testing.T) {
 // compare equals.
 func TestMonolithicBaseline(t *testing.T) {
 	ctx := context.Background()
-	d, err := New(WithShards(1), WithEchoNetwork())
+	d, err := New(withShards(1), WithEchoNetwork())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +147,7 @@ func TestMonolithicBaseline(t *testing.T) {
 	if got := d.Server.VPN().ShardCount(); got != 1 {
 		t.Fatalf("ShardCount = %d, want 1", got)
 	}
-	cli, err := d.AddClient(ctx, "mono", ClientSpec{Mode: ModeSimulation, UseCase: UseCaseFW})
+	cli, err := d.AddClient(ctx, "mono", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(UseCaseFW)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +213,7 @@ func TestHandleFramesBatchIngress(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	cli, err := d.AddClient(ctx, "batch-in", ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP})
+	cli, err := d.AddClient(ctx, "batch-in", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(UseCaseNOP)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +335,7 @@ func TestBatchedBurstAllocs(t *testing.T) {
 		{"conntrack", mbox.Chain(mbox.ConnTrack(mbox.ConnTrackOptions{}))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			d, err := New(WithShards(16))
+			d, err := New(withShards(16))
 			if err != nil {
 				t.Fatal(err)
 			}

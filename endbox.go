@@ -33,8 +33,8 @@
 //	    }),
 //	)
 //	client, err := d.AddClient(ctx, "laptop-1", endbox.ClientSpec{
-//	    Mode:    endbox.ModeSimulation,
-//	    UseCase: endbox.UseCaseFW,
+//	    Mode:     endbox.ModeSimulation,
+//	    Pipeline: mbox.Stock(endbox.UseCaseFW),
 //	})
 //	err = client.SendPacket(ipPacket)
 package endbox
@@ -137,7 +137,9 @@ type FlowStats = mbox.FlowStats
 
 // Rollout describes a middlebox configuration rollout: a pipeline, the
 // version it publishes as, a grace period, and a Selector choosing which
-// clients it applies to. Publish it with Deployment.Rollout.
+// clients it applies to. Publish it with Deployment.Rollout — the one
+// publish call. A Selector naming exactly one Measurement seals the update
+// to that build (see ErrSealedToOtherBuild).
 type Rollout = core.Rollout
 
 // Selector picks the clients a targeted Rollout applies to, by ID and/or
@@ -187,9 +189,9 @@ type HealthReport = vpn.HealthReport
 // configuration version, carrying the reason it could not be applied.
 type Nack = vpn.Nack
 
-// ErrBadPipeline is the typed error AddClient, Deployment.Rollout and
-// mbox.Compile return for middlebox pipelines and Click configurations
-// that cannot be compiled into a runnable router.
+// ErrBadPipeline is the typed error AddClient, ResumeClient,
+// Deployment.Rollout, RolloutCanary and mbox.Compile return for a zero
+// Pipeline or one that cannot be compiled into a runnable router.
 var ErrBadPipeline = mbox.ErrBadPipeline
 
 // VIFStats are one client's virtual-interface counters (packets/bytes in
@@ -225,19 +227,12 @@ var ErrServerFull = lifecycle.ErrServerFull
 // MultiObserver fans events out to several observers in order.
 func MultiObserver(obs ...Observer) Observer { return core.MultiObserver(obs...) }
 
-// Update is one middlebox configuration update: version, grace period,
-// Click configuration and rule sets.
-type Update = config.Update
-
 // SwapTiming is the in-enclave phase breakdown of applying an update
 // (decrypt + hot-swap durations).
 type SwapTiming = core.SwapTiming
 
-// UseCase selects one of the five evaluated middlebox functions.
-//
-// Deprecated: UseCase is a shim over the stock pipelines; new code should
-// set ClientSpec.Pipeline (mbox.Stock(u) reproduces each use case, and
-// mbox.Chain composes arbitrary ones).
+// UseCase names one of the five evaluated middlebox functions;
+// mbox.Stock(u) is its pipeline.
 type UseCase = click.UseCase
 
 // The five middlebox functions of the paper's evaluation (§V-B).
@@ -248,14 +243,6 @@ const (
 	UseCaseIDPS = click.UseCaseIDPS
 	UseCaseDDoS = click.UseCaseDDoS
 )
-
-// StandardConfig returns the Click configuration for a use case as used in
-// the evaluation.
-//
-// Deprecated: StandardConfig is a thin shim compiling mbox.Stock(u); new
-// code should carry typed pipelines (mbox.Compile emits the text when a
-// string is genuinely needed).
-func StandardConfig(u UseCase) string { return click.StandardConfig(u) }
 
 // EnclaveMode selects how client enclaves execute.
 type EnclaveMode = sgx.Mode

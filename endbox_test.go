@@ -11,6 +11,7 @@ import (
 
 	"endbox/internal/packet"
 	"endbox/internal/vpn"
+	"endbox/mbox"
 )
 
 // TestFacadeRoundTrip drives the whole v1 surface once: functional-option
@@ -37,7 +38,7 @@ func TestFacadeRoundTrip(t *testing.T) {
 	}
 	defer d.Close()
 
-	cli, err := d.AddClient(ctx, "laptop-1", ClientSpec{Mode: ModeSimulation, UseCase: UseCaseFW})
+	cli, err := d.AddClient(ctx, "laptop-1", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(UseCaseFW)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,10 +53,10 @@ func TestFacadeRoundTrip(t *testing.T) {
 		t.Errorf("received = %d, want 1 (echo)", got)
 	}
 
-	if err := d.Server.PublishUpdate(ctx, &Update{
+	if _, err := d.Rollout(ctx, Rollout{
 		Version:      1,
 		GraceSeconds: 60,
-		ClickConfig:  StandardConfig(UseCaseNOP),
+		Pipeline:     mbox.Stock(UseCaseNOP),
 		RuleSets:     CommunityRuleSets(),
 	}); err != nil {
 		t.Fatal(err)
@@ -85,7 +86,7 @@ func TestOptionComposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	cli, err := d.AddClient(ctx, "c", ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP})
+	cli, err := d.AddClient(ctx, "c", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(UseCaseNOP)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestConcurrentClients(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			id := fmt.Sprintf("c%d", i)
-			cli, err := d.AddClient(ctx, id, ClientSpec{Mode: ModeSimulation, UseCase: UseCaseFW})
+			cli, err := d.AddClient(ctx, id, ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(UseCaseFW)})
 			if err != nil {
 				errs <- fmt.Errorf("AddClient(%s): %w", id, err)
 				return
@@ -160,13 +161,13 @@ func TestConcurrentClients(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if err := d.Server.PublishUpdate(ctx, &Update{
+		if _, err := d.Rollout(ctx, Rollout{
 			Version:      1,
 			GraceSeconds: 300,
-			ClickConfig:  StandardConfig(UseCaseFW),
+			Pipeline:     mbox.Stock(UseCaseFW),
 			RuleSets:     CommunityRuleSets(),
 		}); err != nil {
-			errs <- fmt.Errorf("PublishUpdate: %w", err)
+			errs <- fmt.Errorf("Rollout: %w", err)
 		}
 	}()
 
@@ -195,7 +196,7 @@ func TestSameClientConcurrentSend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	cli, err := d.AddClient(ctx, "shared", ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP})
+	cli, err := d.AddClient(ctx, "shared", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(UseCaseNOP)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +241,8 @@ func TestBatchSendSemantics(t *testing.T) {
 	}
 	defer d.Close()
 	cli, err := d.AddClient(ctx, "c", ClientSpec{
-		Mode:        ModeSimulation,
-		ClickConfig: "FromDevice -> IPFilter(drop dst host 203.0.113.9, allow all) -> ToDevice;",
+		Mode:     ModeSimulation,
+		Pipeline: mbox.Raw("FromDevice -> IPFilter(drop dst host 203.0.113.9, allow all) -> ToDevice;"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -301,8 +302,8 @@ func TestTransportParity(t *testing.T) {
 		defer d.Close()
 
 		cli, err := d.AddClient(ctx, "parity", ClientSpec{
-			Mode:        ModeSimulation,
-			ClickConfig: "FromDevice -> IPFilter(drop dst host 203.0.113.9, allow all) -> ToDevice;",
+			Mode:     ModeSimulation,
+			Pipeline: mbox.Raw("FromDevice -> IPFilter(drop dst host 203.0.113.9, allow all) -> ToDevice;"),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -332,7 +333,7 @@ func TestTransportParity(t *testing.T) {
 	udp := run(t, NewUDPTransport("127.0.0.1:0"))
 	// The pipelined UDP ingress (worker pool + sharded table) must be
 	// behaviourally identical to both.
-	udpWorkers := run(t, NewUDPTransport("127.0.0.1:0"), WithUDPWorkers(4), WithShards(8))
+	udpWorkers := run(t, NewUDPTransport("127.0.0.1:0"), WithUDPWorkers(4), withShards(8))
 
 	if inproc != udp {
 		t.Errorf("transport behaviour diverged: in-process %+v, UDP %+v", inproc, udp)
@@ -371,7 +372,7 @@ func TestUDPTransportMultipleClients(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			id := fmt.Sprintf("udp-%d", i)
-			cli, err := d.AddClient(ctx, id, ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP})
+			cli, err := d.AddClient(ctx, id, ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(UseCaseNOP)})
 			if err != nil {
 				errs <- fmt.Errorf("AddClient(%s): %w", id, err)
 				return
@@ -415,17 +416,17 @@ func TestContextCancellation(t *testing.T) {
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := d.AddClient(cancelled, "c", ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP}); !errors.Is(err, context.Canceled) {
+	if _, err := d.AddClient(cancelled, "c", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(UseCaseNOP)}); !errors.Is(err, context.Canceled) {
 		t.Errorf("AddClient with cancelled ctx: %v", err)
 	}
-	if err := d.Server.PublishUpdate(cancelled, &Update{
-		Version: 1, GraceSeconds: 60, ClickConfig: StandardConfig(UseCaseNOP),
+	if _, err := d.Rollout(cancelled, Rollout{
+		Version: 1, GraceSeconds: 60, Pipeline: mbox.Stock(UseCaseNOP),
 	}); !errors.Is(err, context.Canceled) {
-		t.Errorf("PublishUpdate with cancelled ctx: %v", err)
+		t.Errorf("Rollout with cancelled ctx: %v", err)
 	}
 
 	// The client slot must be reusable after the failed join.
-	if _, err := d.AddClient(context.Background(), "c", ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP}); err != nil {
+	if _, err := d.AddClient(context.Background(), "c", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(UseCaseNOP)}); err != nil {
 		t.Errorf("AddClient after cancelled attempt: %v", err)
 	}
 }
@@ -454,8 +455,8 @@ func TestObserverReentrancy(t *testing.T) {
 	}
 	defer d.Close()
 	cli, err = d.AddClient(ctx, "c", ClientSpec{
-		Mode:        ModeSimulation,
-		ClickConfig: "FromDevice -> IDSMatcher(RULESET strict, MODE enforce) -> ToDevice;",
+		Mode:     ModeSimulation,
+		Pipeline: mbox.Raw("FromDevice -> IDSMatcher(RULESET strict, MODE enforce) -> ToDevice;"),
 		ExtraRuleSets: map[string]string{
 			"strict": `drop tcp any any -> any any (msg:"worm"; content:"X-Worm"; sid:7;)`,
 		},
@@ -494,11 +495,11 @@ func TestDuplicateAddClient(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer d.Close()
-			first, err := d.AddClient(ctx, "dup", ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP})
+			first, err := d.AddClient(ctx, "dup", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(UseCaseNOP)})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := d.AddClient(ctx, "dup", ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP}); err == nil {
+			if _, err := d.AddClient(ctx, "dup", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(UseCaseNOP)}); err == nil {
 				t.Fatal("duplicate AddClient succeeded")
 			}
 			// The original client is unharmed.
@@ -519,7 +520,7 @@ func TestRemoveClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if _, err := d.AddClient(ctx, "c", ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP}); err != nil {
+	if _, err := d.AddClient(ctx, "c", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(UseCaseNOP)}); err != nil {
 		t.Fatal(err)
 	}
 	firstAddr, _ := d.ClientAddr("c")
@@ -530,7 +531,7 @@ func TestRemoveClient(t *testing.T) {
 	if _, ok := d.ClientAddr("c"); ok {
 		t.Error("address still allocated after RemoveClient")
 	}
-	cli, err := d.AddClient(ctx, "c", ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP})
+	cli, err := d.AddClient(ctx, "c", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(UseCaseNOP)})
 	if err != nil {
 		t.Fatalf("rejoin: %v", err)
 	}

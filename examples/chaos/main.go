@@ -21,6 +21,7 @@ import (
 	"endbox"
 	"endbox/internal/netsim"
 	"endbox/internal/packet"
+	"endbox/mbox"
 )
 
 func main() {
@@ -61,7 +62,7 @@ func run() error {
 	clients := make([]*endbox.Client, 4)
 	for i := range clients {
 		id := fmt.Sprintf("edge-%d", i)
-		clients[i], err = deployment.AddClient(ctx, id, endbox.ClientSpec{Mode: endbox.ModeSimulation, UseCase: endbox.UseCaseNOP})
+		clients[i], err = deployment.AddClient(ctx, id, endbox.ClientSpec{Mode: endbox.ModeSimulation, Pipeline: mbox.Stock(endbox.UseCaseNOP)})
 		if err != nil {
 			return err
 		}
@@ -70,9 +71,9 @@ func run() error {
 
 	// v1 is the known-good configuration — the rollback point the canary
 	// machinery requires before it stages anything.
-	if err := deployment.Server.PublishUpdate(ctx, &endbox.Update{
-		Version:     1,
-		ClickConfig: endbox.StandardConfig(endbox.UseCaseNOP),
+	if _, err := deployment.Rollout(ctx, endbox.Rollout{
+		Version:  1,
+		Pipeline: mbox.Stock(endbox.UseCaseNOP),
 	}); err != nil {
 		return err
 	}
@@ -93,8 +94,8 @@ func run() error {
 	fmt.Println("staging v2 (panics on the 3rd packet) as a canary to 50% of the fleet...")
 	res, err := deployment.RolloutCanary(ctx, endbox.CanaryRollout{
 		Rollout: endbox.Rollout{
-			Version:     2,
-			ClickConfig: "FromDevice -> Faulty(PANIC 3) -> ToDevice;",
+			Version:  2,
+			Pipeline: mbox.Raw("FromDevice -> Faulty(PANIC 3) -> ToDevice;"),
 		},
 		Fraction: 0.5,
 		Deadline: 30 * time.Second,

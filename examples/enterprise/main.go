@@ -15,6 +15,7 @@ import (
 	"endbox"
 	"endbox/internal/packet"
 	"endbox/internal/vpn"
+	"endbox/mbox"
 )
 
 func main() {
@@ -45,8 +46,8 @@ func run() error {
 	defer deployment.Close()
 
 	employee, err := deployment.AddClient(ctx, "workstation-7", endbox.ClientSpec{
-		Mode:    endbox.ModeSimulation,
-		UseCase: endbox.UseCaseIDPS,
+		Mode:     endbox.ModeSimulation,
+		Pipeline: mbox.Stock(endbox.UseCaseIDPS),
 	})
 	if err != nil {
 		return err
@@ -67,15 +68,15 @@ func run() error {
 	// firewall clause quarantining a compromised subnet. Version 1,
 	// 30-second grace period.
 	fmt.Println("\nadmin publishes configuration v1 (quarantine 10.0.66.0/24, grace 30s)")
-	err = deployment.Server.PublishUpdate(ctx, &endbox.Update{
+	_, err = deployment.Rollout(ctx, endbox.Rollout{
 		Version:      1,
 		GraceSeconds: 30,
-		ClickConfig: `
+		Pipeline: mbox.Raw(`
 FromDevice
   -> quarantine :: IPFilter(drop dst net 10.0.66.0/24, allow all)
   -> ids :: IDSMatcher(RULESET community)
   -> ToDevice;
-`,
+`),
 	})
 	if err != nil {
 		return err

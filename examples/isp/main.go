@@ -15,6 +15,7 @@ import (
 	"endbox"
 	"endbox/internal/packet"
 	"endbox/internal/trace"
+	"endbox/mbox"
 )
 
 func main() {
@@ -45,12 +46,12 @@ func run() error {
 	// sampling trusted time every 64 packets).
 	subscriber, err := deployment.AddClient(ctx, "subscriber-42", endbox.ClientSpec{
 		Mode: endbox.ModeSimulation,
-		ClickConfig: `
+		Pipeline: mbox.Raw(`
 FromDevice
   -> ids :: IDSMatcher(RULESET community)
   -> shaper :: TrustedSplitter(RATE 64k, BURST 8000, SAMPLE 64)
   -> ToDevice;
-`,
+`),
 	})
 	if err != nil {
 		return err

@@ -21,6 +21,7 @@ import (
 	"endbox/internal/idps"
 	"endbox/internal/packet"
 	"endbox/internal/udptransport"
+	"endbox/mbox"
 )
 
 func main() {
@@ -59,8 +60,8 @@ func run() error {
 	// The whole join sequence — registration, attestation, enrolment,
 	// VPN handshake — crosses the lossy wire reliably.
 	client, err := deployment.AddClient(ctx, "flaky-laptop", endbox.ClientSpec{
-		Mode:    endbox.ModeSimulation,
-		UseCase: endbox.UseCaseFW,
+		Mode:     endbox.ModeSimulation,
+		Pipeline: mbox.Stock(endbox.UseCaseFW),
 	})
 	if err != nil {
 		return fmt.Errorf("join over lossy control path: %w", err)
@@ -78,13 +79,13 @@ func run() error {
 	// A rule-set update big enough to span many configuration chunks
 	// (~330 kB -> six 60 kB chunks): before the ARQ layer, ONE lost
 	// chunk failed the whole fetch after a 5s timeout.
-	update := &endbox.Update{
+	update := endbox.Rollout{
 		Version:      2,
 		GraceSeconds: 60,
-		ClickConfig:  endbox.StandardConfig(endbox.UseCaseFW),
+		Pipeline:     mbox.Stock(endbox.UseCaseFW),
 		RuleSets:     map[string]string{"community": idps.GenerateRuleSet(2000, 7)},
 	}
-	if err := deployment.Server.PublishUpdate(ctx, update); err != nil {
+	if _, err := deployment.Rollout(ctx, update); err != nil {
 		return err
 	}
 	blob, err := deployment.Server.Configs().Fetch(2)

@@ -14,6 +14,7 @@ import (
 	"endbox"
 	"endbox/internal/packet"
 	"endbox/internal/vpn"
+	"endbox/mbox"
 )
 
 func main() {
@@ -48,11 +49,11 @@ func run() error {
 	// attestation against the CA, provisions keys, and connects the VPN.
 	client, err := deployment.AddClient(ctx, "laptop-1", endbox.ClientSpec{
 		Mode: endbox.ModeSimulation,
-		ClickConfig: `
+		Pipeline: mbox.Raw(`
 FromDevice
   -> fw :: IPFilter(drop dst host 203.0.113.66, allow all)
   -> ToDevice;
-`,
+`),
 	})
 	if err != nil {
 		return err

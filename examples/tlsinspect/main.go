@@ -16,6 +16,7 @@ import (
 	"endbox/internal/packet"
 	"endbox/internal/tlstap"
 	"endbox/internal/vpn"
+	"endbox/mbox"
 )
 
 func main() {
@@ -35,12 +36,12 @@ func run() error {
 
 	client, err := deployment.AddClient(ctx, "desktop-3", endbox.ClientSpec{
 		Mode: endbox.ModeSimulation,
-		ClickConfig: `
+		Pipeline: mbox.Raw(`
 FromDevice
   -> tls :: TLSDecrypt(PORT 443)
   -> ids :: IDSMatcher(RULESET dlp, MODE enforce)
   -> ToDevice;
-`,
+`),
 		ExtraRuleSets: map[string]string{
 			// A data-leak-prevention rule: block documents marked
 			// CONFIDENTIAL from leaving the company, even over TLS.

@@ -29,9 +29,6 @@ func run() error {
 	pol := endbox.NewPolicy()
 	deployment, err := endbox.New(
 		endbox.WithPolicy(pol),
-		// Targeted updates are encrypted under the target build's
-		// per-measurement key, not just the fleet key.
-		endbox.WithSealToMeasurement(),
 		endbox.WithObserver(endbox.ObserverFuncs{
 			OnRevoked: func(clientID, build string) {
 				fmt.Printf("  [revocation] session %s (build %s) evicted\n", clientID, build)
@@ -55,7 +52,7 @@ func run() error {
 	}
 	fmt.Printf("registered builds: v1 (default), v2 = %s...\n", v2meas.String()[:16])
 
-	oldSpec := endbox.ClientSpec{Mode: endbox.ModeSimulation, UseCase: endbox.UseCaseNOP}
+	oldSpec := endbox.ClientSpec{Mode: endbox.ModeSimulation, Pipeline: mbox.Stock(endbox.UseCaseNOP)}
 	newSpec := oldSpec
 	newSpec.BuildVersion = "2.0.0"
 	legacy, err := deployment.AddClient(ctx, "laptop-legacy", oldSpec)
@@ -88,8 +85,8 @@ func run() error {
 	fmt.Println("baseline configuration v1 applied fleet-wide")
 
 	// Canary configuration v2 to exactly the clients running build v2,
-	// selected by attested measurement. With WithSealToMeasurement the
-	// blob is encrypted under v2's key: even when promotion announces it
+	// selected by attested measurement. A selector naming one measurement
+	// seals the blob under v2's key: even when promotion announces it
 	// fleet-wide, v1 enclaves fail with ErrSealedToOtherBuild, nack, and
 	// keep last-known-good.
 	res, err := deployment.RolloutCanary(ctx, endbox.CanaryRollout{

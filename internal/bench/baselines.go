@@ -1,13 +1,16 @@
-package core
+package bench
 
 import (
 	"crypto/ecdh"
 	"crypto/ed25519"
 	"crypto/rand"
 	"fmt"
+	"os"
 
 	"endbox/internal/attest"
 	"endbox/internal/click"
+	"endbox/internal/core"
+	"endbox/internal/idps"
 	"endbox/internal/vpn"
 	"endbox/internal/wire"
 )
@@ -31,7 +34,7 @@ const (
 // client's data plane runs entirely outside any enclave.
 type BaselinePair struct {
 	Client *vpn.Client
-	Server *Server
+	Server *core.Server
 
 	// Delivered counts packets accepted into the network.
 	Delivered uint64
@@ -60,17 +63,21 @@ func NewBaselinePair(b Baseline, useCase click.UseCase, mode wire.Mode) (*Baseli
 		if useCase == 0 {
 			useCase = click.UseCaseNOP
 		}
-		inst, err := click.NewInstance(click.ServerConfig(useCase), nil, ServerClickContext(nil))
+		cfg, err := click.ServerConfig(useCase)
+		if err != nil {
+			return nil, err
+		}
+		inst, err := click.NewInstance(cfg, nil, ServerClickContext(nil))
 		if err != nil {
 			return nil, err
 		}
 		serverClick = inst
 	} else if b != BaselineVanillaOpenVPN {
-		return nil, fmt.Errorf("core: unknown baseline %d", b)
+		return nil, fmt.Errorf("bench: unknown baseline %d", b)
 	}
 
 	var cli *vpn.Client
-	srv, err := NewServer(ServerOptions{
+	srv, err := core.NewServer(core.ServerOptions{
 		CA:   ca,
 		Mode: mode,
 		Deliver: func(_ string, ip []byte) {
@@ -142,4 +149,48 @@ func NewBaselinePair(b Baseline, useCase click.UseCase, mode wire.Mode) (*Baseli
 	}
 	pair.Client = cli
 	return pair, nil
+}
+
+// VanillaDeviceSetup performs the file-descriptor work vanilla Click's
+// FromDevice and ToDevice elements do each time a configuration is
+// installed — the cost the paper identifies as why EndBox reconfigures
+// faster (Table II: "vanilla Click needs to set up file descriptors for
+// the ToDevice and FromDevice elements, which is not necessary for ENDBOX
+// because OpenVPN took care of this task earlier"). EndBox deployments
+// pass no device setup at all.
+func VanillaDeviceSetup() error {
+	r, w, err := os.Pipe()
+	if err != nil {
+		return fmt.Errorf("bench: device setup: %w", err)
+	}
+	// Touch the descriptors like a device open/configure sequence would.
+	if _, err := w.Write([]byte{0}); err != nil {
+		r.Close()
+		w.Close()
+		return fmt.Errorf("bench: device setup: %w", err)
+	}
+	var buf [1]byte
+	if _, err := r.Read(buf[:]); err != nil {
+		r.Close()
+		w.Close()
+		return fmt.Errorf("bench: device setup: %w", err)
+	}
+	r.Close()
+	w.Close()
+	return nil
+}
+
+// ServerClickContext builds the Click context for a server-side (vanilla)
+// instance: untrusted time, community rules, and real device setup — the
+// file-descriptor work EndBox avoids (Table II).
+func ServerClickContext(deviceSetup func() error) *click.Context {
+	return &click.Context{
+		RuleSet: func(name string) (string, error) {
+			if name != "community" {
+				return "", fmt.Errorf("bench: unknown rule set %q", name)
+			}
+			return idps.GenerateRuleSet(idps.CommunityRuleCount, 2018), nil
+		},
+		DeviceSetup: deviceSetup,
+	}
 }

@@ -152,7 +152,11 @@ func Calibrate() (*CostModel, error) {
 		},
 	}
 	for _, uc := range click.AllUseCases {
-		inst, err := click.NewInstance(click.StandardConfig(uc), nil, ctx)
+		cfg, err := click.StockPipeline(uc).Config()
+		if err != nil {
+			return nil, fmt.Errorf("calibrate %v: %w", uc, err)
+		}
+		inst, err := click.NewInstance(cfg, nil, ctx)
 		if err != nil {
 			return nil, fmt.Errorf("calibrate %v: %w", uc, err)
 		}

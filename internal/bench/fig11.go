@@ -67,18 +67,22 @@ func Fig11() (*Table, error) {
 
 // measureEndBoxSwap times the enclave-internal hot-swap of the FW config.
 func measureEndBoxSwap() (time.Duration, error) {
+	fw, err := click.StockPipeline(click.UseCaseFW).Config()
+	if err != nil {
+		return 0, err
+	}
 	d, err := core.NewDeployment(core.DeploymentOptions{})
 	if err != nil {
 		return 0, err
 	}
 	defer d.Close()
-	cli, err := d.AddClient(context.Background(), "fig11", core.ClientSpec{Mode: sgx.ModeHardware, BurnCPU: true, UseCase: click.UseCaseNOP})
+	cli, err := d.AddClient(context.Background(), "fig11", core.ClientSpec{Mode: sgx.ModeHardware, BurnCPU: true, Pipeline: click.StockPipeline(click.UseCaseNOP)})
 	if err != nil {
 		return 0, err
 	}
 	blob, err := config.Seal(&config.Update{
 		Version: 1, GraceSeconds: 60,
-		ClickConfig: click.StandardConfig(click.UseCaseFW),
+		ClickConfig: fw,
 	}, d.CA.SignConfig, nil)
 	if err != nil {
 		return 0, err
@@ -93,10 +97,17 @@ func measureEndBoxSwap() (time.Duration, error) {
 // measureVanillaSwap times a server-side Click hot-swap to the FW config,
 // including its device setup.
 func measureVanillaSwap() (time.Duration, error) {
-	inst, err := click.NewInstance(click.StandardConfig(click.UseCaseNOP), nil,
-		core.ServerClickContext(core.VanillaDeviceSetup))
+	nop, err := click.StockPipeline(click.UseCaseNOP).Config()
 	if err != nil {
 		return 0, err
 	}
-	return inst.Swap(click.StandardConfig(click.UseCaseFW))
+	fw, err := click.StockPipeline(click.UseCaseFW).Config()
+	if err != nil {
+		return 0, err
+	}
+	inst, err := click.NewInstance(nop, nil, ServerClickContext(VanillaDeviceSetup))
+	if err != nil {
+		return 0, err
+	}
+	return inst.Swap(fw)
 }

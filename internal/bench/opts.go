@@ -34,7 +34,7 @@ func OptTransitions(packetsPerRun int) (*Table, error) {
 		cli, err := d.AddClient(context.Background(), "opt", core.ClientSpec{
 			Mode:        sgx.ModeHardware,
 			BurnCPU:     true,
-			UseCase:     click.UseCaseNOP,
+			Pipeline:    click.StockPipeline(click.UseCaseNOP),
 			NaiveEcalls: naive,
 		})
 		if err != nil {
@@ -145,7 +145,7 @@ func OptC2C(iterations int) (*Table, error) {
 		// hardware-mode transition burn.
 		sender, err := d.AddClient(context.Background(), "a", core.ClientSpec{
 			Mode:               sgx.ModeSimulation,
-			UseCase:            click.UseCaseIDPS,
+			Pipeline:           click.StockPipeline(click.UseCaseIDPS),
 			FlagClientToClient: flagged,
 		})
 		if err != nil {
@@ -153,7 +153,7 @@ func OptC2C(iterations int) (*Table, error) {
 		}
 		_, err = d.AddClient(context.Background(), "b", core.ClientSpec{
 			Mode:               sgx.ModeSimulation,
-			UseCase:            click.UseCaseIDPS,
+			Pipeline:           click.StockPipeline(click.UseCaseIDPS),
 			FlagClientToClient: flagged,
 		})
 		if err != nil {

@@ -127,9 +127,9 @@ func httpsGetLatency(clickCfg string, forwardKey bool, respSize, iterations int)
 	defer d.Close()
 
 	cli, err := d.AddClient(context.Background(), clientID, core.ClientSpec{
-		Mode:        sgx.ModeHardware,
-		BurnCPU:     true,
-		ClickConfig: clickCfg,
+		Mode:     sgx.ModeHardware,
+		BurnCPU:  true,
+		Pipeline: click.Raw(clickCfg),
 	})
 	if err != nil {
 		return 0, err
@@ -185,7 +185,7 @@ func Table2(iterations int) (*Table, error) {
 
 	// Vanilla Click: hot-swap includes real device (file descriptor)
 	// setup, which EndBox skips because OpenVPN owns the tunnel device.
-	vanillaCtx := core.ServerClickContext(core.VanillaDeviceSetup)
+	vanillaCtx := ServerClickContext(VanillaDeviceSetup)
 	inst, err := click.NewInstance(table2ConfigA, nil, vanillaCtx)
 	if err != nil {
 		return nil, err
@@ -211,7 +211,7 @@ func Table2(iterations int) (*Table, error) {
 		return nil, err
 	}
 	defer d.Close()
-	cli, err := d.AddClient(context.Background(), "t2", core.ClientSpec{Mode: sgx.ModeHardware, BurnCPU: true, ClickConfig: table2ConfigA})
+	cli, err := d.AddClient(context.Background(), "t2", core.ClientSpec{Mode: sgx.ModeHardware, BurnCPU: true, Pipeline: click.Raw(table2ConfigA)})
 	if err != nil {
 		return nil, err
 	}

@@ -24,13 +24,13 @@ type pipeline struct {
 func buildPipeline(setup Setup, uc click.UseCase, mode wire.Mode, naiveEcalls bool) (*pipeline, error) {
 	switch setup {
 	case SetupVanillaOpenVPN:
-		pair, err := core.NewBaselinePair(core.BaselineVanillaOpenVPN, 0, mode)
+		pair, err := NewBaselinePair(BaselineVanillaOpenVPN, 0, mode)
 		if err != nil {
 			return nil, err
 		}
 		return &pipeline{send: pair.Client.SendPacket, close: func() {}}, nil
 	case SetupOpenVPNClick:
-		pair, err := core.NewBaselinePair(core.BaselineOpenVPNClick, uc, mode)
+		pair, err := NewBaselinePair(BaselineOpenVPNClick, uc, mode)
 		if err != nil {
 			return nil, err
 		}
@@ -49,7 +49,7 @@ func buildPipeline(setup Setup, uc click.UseCase, mode wire.Mode, naiveEcalls bo
 		cli, err := d.AddClient(context.Background(), "bench", core.ClientSpec{
 			Mode:        sgxMode,
 			BurnCPU:     burn,
-			UseCase:     uc,
+			Pipeline:    click.StockPipeline(uc),
 			NaiveEcalls: naiveEcalls,
 		})
 		if err != nil {

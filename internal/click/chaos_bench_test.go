@@ -25,7 +25,7 @@ func BenchmarkContainedPipelines1500(b *testing.B) {
 		40000, 5201, make([]byte, 1472))
 	for _, uc := range AllUseCases {
 		b.Run(uc.String(), func(b *testing.B) {
-			inst, err := NewInstance(StandardConfig(uc), nil, ctx)
+			inst, err := NewInstance(stockConfig(b, uc), nil, ctx)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -45,38 +45,20 @@ func (u UseCase) String() string {
 	}
 }
 
-// StandardConfig returns the Click configuration for a use case, matching
-// the paper's setups: the FW rules match no evaluation packet, the IDPS
-// uses the community rule set (resolved via Context.RuleSet), and the DDoS
-// splitter samples trusted time every 500,000 packets.
-//
-// Deprecated: StandardConfig is a thin shim compiling StockPipeline(u);
-// new code should build pipelines with the typed Stage/Chain API (public
-// surface: package mbox) and compile them explicitly.
-func StandardConfig(u UseCase) string {
-	cfg, err := StockPipeline(u).Config()
-	if err != nil {
-		return ""
-	}
-	return cfg
-}
-
-// ServerConfig is StandardConfig for a server-side vanilla Click instance
-// (the OpenVPN+Click baseline): identical graphs except the DDoS shaper
-// uses UntrustedSplitter with per-packet system time, as in the paper.
-func ServerConfig(u UseCase) string {
+// ServerConfig is the stock configuration of a use case for a server-side
+// vanilla Click instance (the OpenVPN+Click baseline): the same graphs the
+// clients run (StockPipeline) except that the DDoS shaper uses
+// UntrustedSplitter with per-packet system time, as in the paper. An
+// unknown use case is ErrBadPipeline.
+func ServerConfig(u UseCase) (string, error) {
 	if u == UseCaseDDoS {
-		cfg, err := Chain(
+		return Chain(
 			Stage{Name: "ids", Class: "IDSMatcher", Args: []string{"RULESET community"}},
 			Stage{Name: "shaper", Class: "UntrustedSplitter",
 				Args: []string{"RATE 10G", "BURST 4000000000"}},
 		).Config()
-		if err != nil {
-			return ""
-		}
-		return cfg
 	}
-	return StandardConfig(u)
+	return StockPipeline(u).Config()
 }
 
 // FirewallRules builds n IPFilter clauses over the TEST-NET-3 block

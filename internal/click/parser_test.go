@@ -143,11 +143,14 @@ func TestSplitArgs(t *testing.T) {
 
 func TestParseMultilineRealConfig(t *testing.T) {
 	for _, uc := range AllUseCases {
-		cfg := StandardConfig(uc)
-		if _, err := ParseConfig(cfg); err != nil {
-			t.Errorf("StandardConfig(%v) does not parse: %v", uc, err)
+		if _, err := ParseConfig(stockConfig(t, uc)); err != nil {
+			t.Errorf("StockPipeline(%v) does not parse: %v", uc, err)
 		}
-		if _, err := ParseConfig(ServerConfig(uc)); err != nil {
+		cfg, err := ServerConfig(uc)
+		if err != nil {
+			t.Fatalf("ServerConfig(%v): %v", uc, err)
+		}
+		if _, err := ParseConfig(cfg); err != nil {
 			t.Errorf("ServerConfig(%v) does not parse: %v", uc, err)
 		}
 	}

@@ -13,40 +13,6 @@ func communityRuleSets() map[string]string {
 	return map[string]string{"community": idps.GenerateRuleSet(idps.CommunityRuleCount, 2018)}
 }
 
-// TestStockPipelineParity pins the shim relationship the API redesign
-// introduced: each stock pipeline compiles to exactly StandardConfig(u),
-// and the emitted text builds a router that accepts clean traffic.
-func TestStockPipelineParity(t *testing.T) {
-	rules := communityRuleSets()
-	for _, uc := range AllUseCases {
-		p := StockPipeline(uc)
-		if p.Zero() {
-			t.Fatalf("StockPipeline(%v) is zero", uc)
-		}
-		cfg, err := p.Compile(nil, rules)
-		if err != nil {
-			t.Fatalf("StockPipeline(%v).Compile: %v", uc, err)
-		}
-		if want := StandardConfig(uc); cfg != want {
-			t.Errorf("StockPipeline(%v) compiles to %q, StandardConfig says %q", uc, cfg, want)
-		}
-		ctx, _ := testContext(t)
-		inst := mustInstance(t, cfg, ctx)
-		for i := 0; i < 3; i++ {
-			if res := inst.Process(testUDP(t, "parity")); !res.Accepted {
-				t.Fatalf("%v pipeline dropped clean packet: %s", uc, res.DroppedBy)
-			}
-		}
-	}
-	if !StockPipeline(UseCase(99)).Zero() {
-		t.Error("unknown use case should return the zero pipeline")
-	}
-	// The server-side variant must stay parseable too.
-	if _, err := ParseConfig(ServerConfig(UseCaseDDoS)); err != nil {
-		t.Errorf("ServerConfig(DDoS) does not parse: %v", err)
-	}
-}
-
 func TestPipelineEmission(t *testing.T) {
 	for _, tc := range []struct {
 		name string

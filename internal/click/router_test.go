@@ -41,6 +41,16 @@ func mustInstance(t *testing.T, cfg string, ctx *Context) *Instance {
 	return inst
 }
 
+// stockConfig is the Click text of one of the five stock pipelines.
+func stockConfig(tb testing.TB, u UseCase) string {
+	tb.Helper()
+	cfg, err := StockPipeline(u).Config()
+	if err != nil {
+		tb.Fatalf("StockPipeline(%v): %v", u, err)
+	}
+	return cfg
+}
+
 func testUDP(t *testing.T, payload string) *packet.IPv4 {
 	t.Helper()
 	raw := packet.NewUDP(packet.MustParseAddr("10.8.0.2"), packet.MustParseAddr("10.8.0.1"),
@@ -65,7 +75,7 @@ func testTCPPort(t *testing.T, dstPort uint16, payload []byte) *packet.IPv4 {
 
 func TestNOPForwards(t *testing.T) {
 	ctx, _ := testContext(t)
-	inst := mustInstance(t, StandardConfig(UseCaseNOP), ctx)
+	inst := mustInstance(t, stockConfig(t, UseCaseNOP), ctx)
 	res := inst.Process(testUDP(t, "hello"))
 	if !res.Accepted {
 		t.Errorf("NOP rejected packet: dropped by %s", res.DroppedBy)
@@ -107,7 +117,7 @@ func TestCounterCounts(t *testing.T) {
 
 func TestRoundRobinSwitchBalances(t *testing.T) {
 	ctx, _ := testContext(t)
-	inst := mustInstance(t, StandardConfig(UseCaseLB), ctx)
+	inst := mustInstance(t, stockConfig(t, UseCaseLB), ctx)
 	backends := make(map[int]int)
 	for i := 0; i < 12; i++ {
 		res := inst.Process(testUDP(t, "lb"))
@@ -128,7 +138,7 @@ func TestRoundRobinSwitchBalances(t *testing.T) {
 
 func TestIPFilterUseCasePassesCleanTraffic(t *testing.T) {
 	ctx, _ := testContext(t)
-	inst := mustInstance(t, StandardConfig(UseCaseFW), ctx)
+	inst := mustInstance(t, stockConfig(t, UseCaseFW), ctx)
 	for i := 0; i < 20; i++ {
 		if res := inst.Process(testUDP(t, "clean")); !res.Accepted {
 			t.Fatalf("FW dropped clean packet: %s", res.DroppedBy)
@@ -232,7 +242,7 @@ func TestIDSMatcherAlertAndEnforce(t *testing.T) {
 
 func TestIDPSUseCaseCleanTraffic(t *testing.T) {
 	ctx, alerts := testContext(t)
-	inst := mustInstance(t, StandardConfig(UseCaseIDPS), ctx)
+	inst := mustInstance(t, stockConfig(t, UseCaseIDPS), ctx)
 	payload := strings.Repeat("GET /index.html HTTP/1.1\r\n", 50)
 	for i := 0; i < 10; i++ {
 		if res := inst.Process(testTCPPort(t, 80, []byte(payload))); !res.Accepted {
@@ -408,14 +418,14 @@ func TestHotSwapPreservesState(t *testing.T) {
 
 func TestHotSwapBadConfigKeepsOld(t *testing.T) {
 	ctx, _ := testContext(t)
-	inst := mustInstance(t, StandardConfig(UseCaseNOP), ctx)
+	inst := mustInstance(t, stockConfig(t, UseCaseNOP), ctx)
 	if _, err := inst.Swap("FromDevice -> Nonexistent -> ToDevice;"); err == nil {
 		t.Fatal("bad swap accepted")
 	}
 	if res := inst.Process(testUDP(t, "still works")); !res.Accepted {
 		t.Error("old configuration broken after failed swap")
 	}
-	if inst.Config() != StandardConfig(UseCaseNOP) {
+	if inst.Config() != stockConfig(t, UseCaseNOP) {
 		t.Error("Config() changed after failed swap")
 	}
 }
@@ -490,14 +500,22 @@ func TestCheckIPHeaderDropsExpiredTTL(t *testing.T) {
 
 func TestAllStandardConfigsRun(t *testing.T) {
 	ctx, _ := testContext(t)
+	rules := communityRuleSets()
 	for _, uc := range AllUseCases {
-		inst := mustInstance(t, StandardConfig(uc), ctx)
+		cfg, err := StockPipeline(uc).Compile(nil, rules)
+		if err != nil {
+			t.Fatalf("StockPipeline(%v).Compile: %v", uc, err)
+		}
+		inst := mustInstance(t, cfg, ctx)
 		for i := 0; i < 5; i++ {
 			if res := inst.Process(testUDP(t, strings.Repeat("p", 1000))); !res.Accepted {
 				t.Errorf("%v dropped clean packet: %s", uc, res.DroppedBy)
 				break
 			}
 		}
+	}
+	if !StockPipeline(UseCase(99)).Zero() {
+		t.Error("unknown use case should return the zero pipeline")
 	}
 }
 
@@ -511,7 +529,7 @@ func BenchmarkUseCasePipelines1500(b *testing.B) {
 		40000, 5201, make([]byte, 1472))
 	for _, uc := range AllUseCases {
 		b.Run(uc.String(), func(b *testing.B) {
-			inst, err := NewInstance(StandardConfig(uc), nil, ctx)
+			inst, err := NewInstance(stockConfig(b, uc), nil, ctx)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -594,8 +612,8 @@ func TestPipelinesAllocateNothing(t *testing.T) {
 	var pipelines []pipeline
 	for _, uc := range AllUseCases {
 		pipelines = append(pipelines,
-			pipeline{name: uc.String(), cfg: StandardConfig(uc), ctx: &Context{RuleSet: ruleSet}, raw: udp},
-			pipeline{name: uc.String() + "/contained", cfg: StandardConfig(uc),
+			pipeline{name: uc.String(), cfg: stockConfig(t, uc), ctx: &Context{RuleSet: ruleSet}, raw: udp},
+			pipeline{name: uc.String() + "/contained", cfg: stockConfig(t, uc),
 				ctx: &Context{RuleSet: ruleSet, Failure: FailurePolicy{Contain: true}}, raw: udp})
 	}
 	handshake := [][]byte{

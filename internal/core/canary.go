@@ -7,7 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"endbox/internal/config"
+	"endbox/internal/click"
 	"endbox/internal/vpn"
 )
 
@@ -159,8 +159,8 @@ func (w *canaryWatch) verdict() (health map[string]vpn.HealthReport, nacks map[s
 //
 //  1. The Target selector picks the candidate set; the first Fraction of
 //     it (sorted by ID — deterministic) becomes the cohort. The update is
-//     published and announced to exactly the cohort (Server.PublishTargeted);
-//     the rest of the fleet never sees the canary version.
+//     published and announced to exactly the cohort; the rest of the
+//     fleet never sees the canary version.
 //  2. Cohort clients fetch, apply, and acknowledge with a sealed health
 //     report carrying the in-enclave swap timing. A client that cannot
 //     apply pushes a typed nack; a client whose fresh pipeline trips
@@ -180,9 +180,6 @@ func (d *Deployment) RolloutCanary(ctx context.Context, r CanaryRollout) (Canary
 	if err := ctx.Err(); err != nil {
 		return CanaryResult{}, err
 	}
-	if r.Version == 0 {
-		return CanaryResult{}, fmt.Errorf("core: canary rollout needs a version")
-	}
 	if r.Fraction == 0 {
 		r.Fraction = DefaultCanaryFraction
 	}
@@ -192,14 +189,6 @@ func (d *Deployment) RolloutCanary(ctx context.Context, r CanaryRollout) (Canary
 	if r.Deadline == 0 {
 		r.Deadline = DefaultCanaryDeadline
 	}
-	cfg, err := compileConfig(r.Pipeline, r.ClickConfig, mergedRuleSets(r.RuleSets))
-	if err != nil {
-		return CanaryResult{}, err
-	}
-	if cfg == "" {
-		return CanaryResult{}, fmt.Errorf("%w: canary rollout selects no middlebox function (set Pipeline or ClickConfig)", ErrBadPipeline)
-	}
-
 	// The rollback point must exist before anything is staged: a canary
 	// without a last-known-good configuration to return to is a gamble,
 	// not a rollout.
@@ -236,30 +225,9 @@ func (d *Deployment) RolloutCanary(ctx context.Context, r CanaryRollout) (Canary
 		d.watchMu.Unlock()
 	}()
 
-	u := &config.Update{
-		Version:      r.Version,
-		GraceSeconds: r.GraceSeconds,
-		ClickConfig:  cfg,
-		RuleSets:     r.RuleSets,
-	}
-	sealTo, sealed := d.sealTarget(r.Target)
-	if sealed {
-		err = d.Server.PublishTargetedSealed(ctx, u, cohort, sealTo)
-	} else {
-		err = d.Server.PublishTargeted(ctx, u, cohort)
-	}
-	if err != nil {
+	if err := d.stage(ctx, r.Rollout, cohort, seqs); err != nil {
 		return CanaryResult{}, err
 	}
-	// Same churn race as Rollout: an ID that turned over between the
-	// selector snapshot and the announcement must not keep the target.
-	d.mu.Lock()
-	for _, id := range cohort {
-		if d.joinSeq[id] != seqs[id] {
-			d.Server.VPN().Policy().ForgetClient(id)
-		}
-	}
-	d.mu.Unlock()
 
 	res := CanaryResult{Version: r.Version, Canary: cohort}
 
@@ -298,22 +266,18 @@ func (d *Deployment) RolloutCanary(ctx context.Context, r CanaryRollout) (Canary
 	res.Reason = reason
 	res.RolledBack = true
 	res.RollbackVersion = r.Version + 1
-	rb := &config.Update{
+	rb := Rollout{
 		Version:      res.RollbackVersion,
 		GraceSeconds: r.GraceSeconds,
-		ClickConfig:  lkg.ClickConfig,
+		Pipeline:     click.Raw(lkg.ClickConfig),
 		RuleSets:     lkg.RuleSets,
+		Target:       r.Target,
 	}
 	// The rollback must go out even when the caller's context is done —
 	// use a detached context so cancellation cannot strand the cohort. It
-	// is sealed exactly like the staging publish: the cohort is all one
-	// build, and the rollback content must stay as leak-free as the canary.
-	if sealed {
-		err = d.Server.PublishTargetedSealed(context.WithoutCancel(ctx), rb, cohort, sealTo)
-	} else {
-		err = d.Server.PublishTargeted(context.WithoutCancel(ctx), rb, cohort)
-	}
-	if err != nil {
+	// carries the staging rollout's Target, so it is sealed exactly like
+	// the canary was: the rollback content stays as leak-free.
+	if err := d.stage(context.WithoutCancel(ctx), rb, cohort, seqs); err != nil {
 		return res, fmt.Errorf("core: canary rollback failed: %w (cohort may be stranded on version %d)", err, r.Version)
 	}
 	health, nacks, _, _ := w.verdict()

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"endbox/internal/click"
-	"endbox/internal/config"
 	"endbox/internal/netsim"
 	"endbox/internal/packet"
 )
@@ -56,11 +55,11 @@ func chaosFleet(t *testing.T, log *faultLog) (*Deployment, []*Client) {
 	ids := []string{"c1", "c2", "c3", "c4"}
 	clients := make([]*Client, len(ids))
 	for i, id := range ids {
-		clients[i] = addClient(t, d, id, ClientSpec{UseCase: click.UseCaseNOP})
+		clients[i] = addClient(t, d, id, ClientSpec{Pipeline: click.StockPipeline(click.UseCaseNOP)})
 	}
-	publish(t, d, &config.Update{
-		Version:     1,
-		ClickConfig: click.StandardConfig(click.UseCaseNOP),
+	publish(t, d, Rollout{
+		Version:  1,
+		Pipeline: click.StockPipeline(click.UseCaseNOP),
 	})
 	for i, c := range clients {
 		if v := c.AppliedVersion(); v != 1 {
@@ -101,8 +100,8 @@ func TestCanaryAutoRollbackOnQuarantine(t *testing.T) {
 	go func() {
 		res, err := d.RolloutCanary(context.Background(), CanaryRollout{
 			Rollout: Rollout{
-				Version:     2,
-				ClickConfig: "FromDevice -> Faulty(PANIC 3) -> ToDevice;",
+				Version:  2,
+				Pipeline: click.Raw("FromDevice -> Faulty(PANIC 3) -> ToDevice;"),
 			},
 			Fraction: 0.5,
 			Deadline: 10 * time.Second,
@@ -189,8 +188,8 @@ func TestCanaryPromotesHealthyRollout(t *testing.T) {
 
 	res, err := d.RolloutCanary(context.Background(), CanaryRollout{
 		Rollout: Rollout{
-			Version:     2,
-			ClickConfig: "FromDevice -> IPFilter(drop dst host 203.0.113.9, allow all) -> ToDevice;",
+			Version:  2,
+			Pipeline: click.Raw("FromDevice -> IPFilter(drop dst host 203.0.113.9, allow all) -> ToDevice;"),
 		},
 		Fraction: 0.5,
 		Deadline: 100 * time.Millisecond,
@@ -225,9 +224,9 @@ func TestCanaryPromotesHealthyRollout(t *testing.T) {
 // global version to roll back to.
 func TestCanaryNeedsLastKnownGood(t *testing.T) {
 	d := newDeployment(t, DeploymentOptions{})
-	addClient(t, d, "c1", ClientSpec{UseCase: click.UseCaseNOP})
+	addClient(t, d, "c1", ClientSpec{Pipeline: click.StockPipeline(click.UseCaseNOP)})
 	_, err := d.RolloutCanary(context.Background(), CanaryRollout{
-		Rollout: Rollout{Version: 1, ClickConfig: click.StandardConfig(click.UseCaseNOP)},
+		Rollout: Rollout{Version: 1, Pipeline: click.StockPipeline(click.UseCaseNOP)},
 	})
 	if err == nil || !strings.Contains(err.Error(), "last-known-good") {
 		t.Fatalf("err = %v, want last-known-good refusal", err)
@@ -257,8 +256,8 @@ func TestCanaryRollbackRacesSelfRevert(t *testing.T) {
 	go func() {
 		res, err := d.RolloutCanary(context.Background(), CanaryRollout{
 			Rollout: Rollout{
-				Version:     2,
-				ClickConfig: "FromDevice -> Faulty(PANIC 1) -> ToDevice;",
+				Version:  2,
+				Pipeline: click.Raw("FromDevice -> Faulty(PANIC 1) -> ToDevice;"),
 			},
 			Fraction: 0.25, // cohort = c1 alone
 			Deadline: 10 * time.Second,
@@ -299,13 +298,13 @@ func TestCanaryExclusive(t *testing.T) {
 	go func() {
 		defer close(done)
 		_, _ = d.RolloutCanary(context.Background(), CanaryRollout{
-			Rollout:  Rollout{Version: 2, ClickConfig: click.StandardConfig(click.UseCaseNOP)},
+			Rollout:  Rollout{Version: 2, Pipeline: click.StockPipeline(click.UseCaseNOP)},
 			Deadline: 300 * time.Millisecond,
 		})
 	}()
 	time.Sleep(50 * time.Millisecond)
 	_, err := d.RolloutCanary(context.Background(), CanaryRollout{
-		Rollout: Rollout{Version: 3, ClickConfig: click.StandardConfig(click.UseCaseNOP)},
+		Rollout: Rollout{Version: 3, Pipeline: click.StockPipeline(click.UseCaseNOP)},
 	})
 	if err == nil || !strings.Contains(err.Error(), "in progress") {
 		t.Fatalf("concurrent canary err = %v, want in-progress refusal", err)

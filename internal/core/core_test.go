@@ -8,7 +8,6 @@ import (
 
 	"endbox/internal/attest"
 	"endbox/internal/click"
-	"endbox/internal/config"
 	"endbox/internal/packet"
 	"endbox/internal/sgx"
 	"endbox/internal/tlstap"
@@ -38,12 +37,16 @@ func addClient(t *testing.T, d *Deployment, id string, spec ClientSpec) *Client 
 	return c
 }
 
-func publish(t *testing.T, d *Deployment, u *config.Update) {
+func publish(t *testing.T, d *Deployment, r Rollout) {
 	t.Helper()
-	if err := d.Server.PublishUpdate(context.Background(), u); err != nil {
-		t.Fatalf("PublishUpdate(v%d): %v", u.Version, err)
+	if _, err := d.Rollout(context.Background(), r); err != nil {
+		t.Fatalf("Rollout(v%d): %v", r.Version, err)
 	}
 }
+
+// nopConfig is the Click text of the stock NOP pipeline, for tests that
+// build a standalone client from ClientOptions.
+const nopConfig = "FromDevice -> ToDevice;"
 
 func udpTo(t *testing.T, src, dst packet.Addr, payload string) []byte {
 	t.Helper()
@@ -66,8 +69,8 @@ func TestEndToEndTrafficBothModes(t *testing.T) {
 				EchoNetwork: true,
 			})
 			c := addClient(t, d, "c1", ClientSpec{
-				Mode:    mode,
-				UseCase: click.UseCaseNOP,
+				Mode:     mode,
+				Pipeline: click.StockPipeline(click.UseCaseNOP),
 			})
 
 			out := udpTo(t, packet.AddrFrom(10, 8, 0, 2), packet.AddrFrom(192, 0, 2, 1), "hello network")
@@ -98,7 +101,7 @@ func TestEndToEndTrafficBothModes(t *testing.T) {
 func TestEnclaveFirewallDropsEgress(t *testing.T) {
 	d := newDeployment(t, DeploymentOptions{})
 	c := addClient(t, d, "c1", ClientSpec{
-		ClickConfig: "FromDevice -> IPFilter(drop dst host 203.0.113.9, allow all) -> ToDevice;",
+		Pipeline: click.Raw("FromDevice -> IPFilter(drop dst host 203.0.113.9, allow all) -> ToDevice;"),
 	})
 	blocked := udpTo(t, packet.AddrFrom(10, 8, 0, 2), packet.AddrFrom(203, 0, 113, 9), "exfil")
 	if err := c.SendPacket(blocked); !errors.Is(err, vpn.ErrDropped) {
@@ -118,7 +121,7 @@ func TestIDPSEnforcementWithAlerts(t *testing.T) {
 		},
 	})
 	c := addClient(t, d, "c1", ClientSpec{
-		ClickConfig: "FromDevice -> IDSMatcher(RULESET strict, MODE enforce) -> ToDevice;",
+		Pipeline: click.Raw("FromDevice -> IDSMatcher(RULESET strict, MODE enforce) -> ToDevice;"),
 		ExtraRuleSets: map[string]string{
 			"strict": `drop tcp any any -> any any (msg:"worm"; content:"X-Worm"; sid:7;)`,
 		},
@@ -140,7 +143,7 @@ func TestConfigUpdateFullLifecycle(t *testing.T) {
 		Clock:          func() time.Time { return now },
 		EncryptConfigs: true, // enterprise scenario
 	})
-	c := addClient(t, d, "c1", ClientSpec{UseCase: click.UseCaseNOP})
+	c := addClient(t, d, "c1", ClientSpec{Pipeline: click.StockPipeline(click.UseCaseNOP)})
 	dst := packet.AddrFrom(203, 0, 113, 9)
 	pkt := udpTo(t, packet.AddrFrom(10, 8, 0, 2), dst, "probe")
 
@@ -150,10 +153,10 @@ func TestConfigUpdateFullLifecycle(t *testing.T) {
 	}
 
 	// Steps 1-4: admin publishes version 1 blocking the target.
-	publish(t, d, &config.Update{
+	publish(t, d, Rollout{
 		Version:      1,
 		GraceSeconds: 60,
-		ClickConfig:  "FromDevice -> IPFilter(drop dst host 203.0.113.9, allow all) -> ToDevice;",
+		Pipeline:     click.Raw("FromDevice -> IPFilter(drop dst host 203.0.113.9, allow all) -> ToDevice;"),
 	})
 
 	// Steps 5-9 ran inline from the ping: client fetched, decrypted inside
@@ -174,17 +177,17 @@ func TestConfigUpdateFullLifecycle(t *testing.T) {
 func TestStaleClientBlockedAfterGrace(t *testing.T) {
 	now := time.Now()
 	d := newDeployment(t, DeploymentOptions{Clock: func() time.Time { return now }})
-	c := addClient(t, d, "c1", ClientSpec{UseCase: click.UseCaseNOP})
+	c := addClient(t, d, "c1", ClientSpec{Pipeline: click.StockPipeline(click.UseCaseNOP)})
 
 	// Break the client's fetch path so it cannot update (a malicious or
 	// partitioned client holding on to the old configuration).
 	c.opts.FetchConfig = func(uint64) ([]byte, error) {
 		return nil, errors.New("client refuses to fetch")
 	}
-	publish(t, d, &config.Update{
+	publish(t, d, Rollout{
 		Version:      1,
 		GraceSeconds: 30,
-		ClickConfig:  click.StandardConfig(click.UseCaseNOP),
+		Pipeline:     click.StockPipeline(click.UseCaseNOP),
 	})
 
 	pkt := udpTo(t, packet.AddrFrom(10, 8, 0, 2), packet.AddrFrom(192, 0, 2, 1), "x")
@@ -201,13 +204,13 @@ func TestStaleClientBlockedAfterGrace(t *testing.T) {
 
 func TestConfigRollbackRejectedInEnclave(t *testing.T) {
 	d := newDeployment(t, DeploymentOptions{})
-	c := addClient(t, d, "c1", ClientSpec{UseCase: click.UseCaseNOP})
+	c := addClient(t, d, "c1", ClientSpec{Pipeline: click.StockPipeline(click.UseCaseNOP)})
 
 	for v := uint64(1); v <= 2; v++ {
-		publish(t, d, &config.Update{
+		publish(t, d, Rollout{
 			Version:      v,
 			GraceSeconds: 60,
-			ClickConfig:  click.StandardConfig(click.UseCaseNOP),
+			Pipeline:     click.StockPipeline(click.UseCaseNOP),
 		})
 	}
 	if c.AppliedVersion() != 2 {
@@ -229,7 +232,7 @@ func TestConfigRollbackRejectedInEnclave(t *testing.T) {
 
 func TestSealedIdentitySkipsReattestation(t *testing.T) {
 	d := newDeployment(t, DeploymentOptions{})
-	c1 := addClient(t, d, "c1", ClientSpec{UseCase: click.UseCaseNOP})
+	c1 := addClient(t, d, "c1", ClientSpec{Pipeline: click.StockPipeline(click.UseCaseNOP)})
 	sealed := c1.SealedIdentity()
 	if len(sealed) == 0 {
 		t.Fatal("no sealed identity")
@@ -245,7 +248,7 @@ func TestSealedIdentitySkipsReattestation(t *testing.T) {
 		Mode:           sgx.ModeSimulation,
 		CAPub:          d.CA.PublicKey(),
 		SealedIdentity: sealed,
-		ClickConfig:    click.StandardConfig(click.UseCaseNOP),
+		ClickConfig:    nopConfig,
 		RuleSets:       CommunityRuleSets(),
 		Send:           func(frame []byte) error { return d.Server.VPN().HandleFrame("c1", frame) },
 	})
@@ -268,7 +271,7 @@ func TestSealedIdentitySkipsReattestation(t *testing.T) {
 		Mode:           sgx.ModeSimulation,
 		CAPub:          d.CA.PublicKey(),
 		SealedIdentity: sealed,
-		ClickConfig:    click.StandardConfig(click.UseCaseNOP),
+		ClickConfig:    nopConfig,
 		Send:           func([]byte) error { return nil },
 	}); !errors.Is(err, sgx.ErrSealCorrupt) {
 		t.Errorf("cross-machine unseal: err = %v", err)
@@ -293,7 +296,7 @@ func TestUnapprovedEnclaveDenied(t *testing.T) {
 		CAPub:       d.CA.PublicKey(),
 		QE:          qe,
 		Enroll:      d.CA.Enroll,
-		ClickConfig: click.StandardConfig(click.UseCaseNOP),
+		ClickConfig: nopConfig,
 		Send:        func([]byte) error { return nil },
 	})
 	if err == nil {
@@ -304,7 +307,7 @@ func TestUnapprovedEnclaveDenied(t *testing.T) {
 func TestTLSInspectionEndToEnd(t *testing.T) {
 	d := newDeployment(t, DeploymentOptions{})
 	c := addClient(t, d, "c1", ClientSpec{
-		ClickConfig: "FromDevice -> TLSDecrypt(PORT 443) -> IDSMatcher(RULESET strict, MODE enforce) -> ToDevice;",
+		Pipeline: click.Raw("FromDevice -> TLSDecrypt(PORT 443) -> IDSMatcher(RULESET strict, MODE enforce) -> ToDevice;"),
 		ExtraRuleSets: map[string]string{
 			"strict": `drop tcp any any -> any any (msg:"hidden worm"; content:"X-Worm"; sid:9;)`,
 		},
@@ -363,7 +366,7 @@ func TestClientToClientFlagBypass(t *testing.T) {
 		defer d.Close()
 		a, err := d.AddClient(context.Background(), "a", ClientSpec{
 			Mode:               sgx.ModeSimulation,
-			UseCase:            click.UseCaseNOP,
+			Pipeline:           click.StockPipeline(click.UseCaseNOP),
 			FlagClientToClient: flagged,
 		})
 		if err != nil {
@@ -371,7 +374,7 @@ func TestClientToClientFlagBypass(t *testing.T) {
 		}
 		_, err = d.AddClient(context.Background(), "b", ClientSpec{
 			Mode:               sgx.ModeSimulation,
-			ClickConfig:        "FromDevice -> IPFilter(drop src net 10.8.0.0/16 && proto udp, allow all) -> ToDevice;",
+			Pipeline:           click.Raw("FromDevice -> IPFilter(drop src net 10.8.0.0/16 && proto udp, allow all) -> ToDevice;"),
 			FlagClientToClient: flagged,
 		})
 		if err != nil {
@@ -405,7 +408,7 @@ func TestExternalCannotForgeProcessedFlag(t *testing.T) {
 		},
 	})
 	c := addClient(t, d, "b", ClientSpec{
-		ClickConfig:        "FromDevice -> cnt :: Counter -> ToDevice;",
+		Pipeline:           click.Raw("FromDevice -> cnt :: Counter -> ToDevice;"),
 		FlagClientToClient: true,
 	})
 	// Craft external packet with the flag set; EchoNetwork sends it from
@@ -425,8 +428,8 @@ func TestExternalCannotForgeProcessedFlag(t *testing.T) {
 
 func TestEcallBatchingTransitionCounts(t *testing.T) {
 	d := newDeployment(t, DeploymentOptions{})
-	batched := addClient(t, d, "fast", ClientSpec{UseCase: click.UseCaseNOP})
-	naive := addClient(t, d, "slow", ClientSpec{UseCase: click.UseCaseNOP, NaiveEcalls: true})
+	batched := addClient(t, d, "fast", ClientSpec{Pipeline: click.StockPipeline(click.UseCaseNOP)})
+	naive := addClient(t, d, "slow", ClientSpec{Pipeline: click.StockPipeline(click.UseCaseNOP), NaiveEcalls: true})
 
 	pkt := udpTo(t, packet.AddrFrom(10, 8, 0, 2), packet.AddrFrom(192, 0, 2, 1), "x")
 	const n = 10
@@ -457,8 +460,8 @@ func TestEcallBatchingTransitionCounts(t *testing.T) {
 
 func TestEnclaveDoSOnlyHurtsSelf(t *testing.T) {
 	d := newDeployment(t, DeploymentOptions{})
-	victim := addClient(t, d, "victim", ClientSpec{UseCase: click.UseCaseNOP})
-	other := addClient(t, d, "other", ClientSpec{UseCase: click.UseCaseNOP})
+	victim := addClient(t, d, "victim", ClientSpec{Pipeline: click.StockPipeline(click.UseCaseNOP)})
+	other := addClient(t, d, "other", ClientSpec{Pipeline: click.StockPipeline(click.UseCaseNOP)})
 
 	victim.Close() // host refuses to run the enclave
 	pkt := udpTo(t, packet.AddrFrom(10, 8, 0, 2), packet.AddrFrom(192, 0, 2, 1), "x")
@@ -473,9 +476,9 @@ func TestEnclaveDoSOnlyHurtsSelf(t *testing.T) {
 func TestMiddleboxFailureIsolatedToClient(t *testing.T) {
 	d := newDeployment(t, DeploymentOptions{})
 	broken := addClient(t, d, "broken", ClientSpec{
-		ClickConfig: "FromDevice -> Discard;", // middlebox black-holes everything
+		Pipeline: click.Raw("FromDevice -> Discard;"), // middlebox black-holes everything
 	})
-	healthy := addClient(t, d, "healthy", ClientSpec{UseCase: click.UseCaseNOP})
+	healthy := addClient(t, d, "healthy", ClientSpec{Pipeline: click.StockPipeline(click.UseCaseNOP)})
 
 	pkt := udpTo(t, packet.AddrFrom(10, 8, 0, 2), packet.AddrFrom(192, 0, 2, 1), "x")
 	if err := broken.SendPacket(pkt); !errors.Is(err, vpn.ErrDropped) {
@@ -488,59 +491,30 @@ func TestMiddleboxFailureIsolatedToClient(t *testing.T) {
 
 func TestISPIntegrityOnlyDeployment(t *testing.T) {
 	d := newDeployment(t, DeploymentOptions{Mode: wire.ModeIntegrityOnly})
-	c := addClient(t, d, "isp-sub", ClientSpec{UseCase: click.UseCaseDDoS})
+	c := addClient(t, d, "isp-sub", ClientSpec{Pipeline: click.StockPipeline(click.UseCaseDDoS)})
 	pkt := udpTo(t, packet.AddrFrom(10, 8, 0, 2), packet.AddrFrom(192, 0, 2, 1), "cleartext ok")
 	if err := c.SendPacket(pkt); err != nil {
 		t.Fatalf("ISP-mode traffic failed: %v", err)
 	}
 }
 
-func TestBaselinePairs(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		b    Baseline
-		uc   click.UseCase
-	}{
-		{"vanilla", BaselineVanillaOpenVPN, 0},
-		{"openvpn+click NOP", BaselineOpenVPNClick, click.UseCaseNOP},
-		{"openvpn+click FW", BaselineOpenVPNClick, click.UseCaseFW},
-		{"openvpn+click IDPS", BaselineOpenVPNClick, click.UseCaseIDPS},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			pair, err := NewBaselinePair(tc.b, tc.uc, wire.ModeEncrypted)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pkt := udpTo(t, packet.AddrFrom(10, 8, 0, 2), packet.AddrFrom(192, 0, 2, 1), "baseline")
-			for i := 0; i < 5; i++ {
-				if err := pair.Client.SendPacket(pkt); err != nil {
-					t.Fatalf("send %d: %v", i, err)
-				}
-			}
-			if pair.Delivered != 5 {
-				t.Errorf("delivered = %d", pair.Delivered)
-			}
-		})
-	}
-}
-
 func TestUpdateTimingBreakdown(t *testing.T) {
 	d := newDeployment(t, DeploymentOptions{EncryptConfigs: true})
-	c := addClient(t, d, "c1", ClientSpec{UseCase: click.UseCaseNOP})
-	publish(t, d, &config.Update{
+	c := addClient(t, d, "c1", ClientSpec{Pipeline: click.StockPipeline(click.UseCaseNOP)})
+	publish(t, d, Rollout{
 		Version:      1,
 		GraceSeconds: 60,
-		ClickConfig:  click.StandardConfig(click.UseCaseFW),
+		Pipeline:     click.StockPipeline(click.UseCaseFW),
 	})
 	blob, err := d.Server.Configs().Fetch(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Applying the same version again fails, so publish v2 for timing.
-	publish(t, d, &config.Update{
+	publish(t, d, Rollout{
 		Version:      2,
 		GraceSeconds: 60,
-		ClickConfig:  click.StandardConfig(click.UseCaseNOP),
+		Pipeline:     click.StockPipeline(click.UseCaseNOP),
 	})
 	_ = blob
 	timing, err := c.ApplyUpdateBlob(mustFetch(t, d, 2))

@@ -31,10 +31,6 @@ type DeploymentOptions struct {
 	// EncryptConfigs selects the enterprise-style encrypted rule
 	// distribution.
 	EncryptConfigs bool
-	// ServerUseCase attaches a server-side Click pipeline running the
-	// given use case — the OpenVPN+Click baseline. Zero means none
-	// (EndBox or vanilla OpenVPN deployments).
-	ServerUseCase click.UseCase
 	// Clock is the shared time source (default time.Now).
 	Clock func() time.Time
 	// Observer watches the deployment's data path: packets accepted into
@@ -109,33 +105,19 @@ type DeploymentOptions struct {
 	// are evicted (RevocationObserver.SessionRevoked). Nil disables
 	// attested-identity policy (only the default client build may enrol).
 	Policy *policy.Registry
-	// SealToMeasurement opts targeted rollouts into measurement-sealed
-	// update blobs: when a Rollout's selector names exactly one
-	// measurement, the update is encrypted under that build's
-	// CA-derived key, so no other build can open it (fail-safe: they keep
-	// their last-known-good configuration).
-	SealToMeasurement bool
 	// FailurePolicy tunes element fault containment in every client
 	// enclave. The zero value selects the deployment default: containment
 	// on, fail-closed, stock trip threshold and cooldown. Set FailOpen to
 	// bypass quarantined elements instead of dropping at them.
 	FailurePolicy click.FailurePolicy
-	// DisableContainment runs pipelines bare — an element panic unwinds
-	// through the data path (the pre-containment behaviour, and the raw
-	// library default). FailurePolicy is ignored when set.
-	DisableContainment bool
 }
 
 // ClientSpec configures one client joining a deployment. Data-path events
 // (inbound packets, alerts) are reported through the deployment's Observer.
 //
-// Exactly one source selects the initial middlebox configuration, in
-// precedence order: Pipeline (typed, preferred), ClickConfig (raw text),
-// UseCase (the five paper pipelines). All three are compiled and
-// validated at AddClient time — a spec that selects nothing, names an
-// unknown use case, or carries a configuration that does not build
-// returns an error wrapping ErrBadPipeline instead of failing inside the
-// enclave.
+// Pipeline is compiled and validated at AddClient time — a zero Pipeline,
+// or one that does not build, returns an error wrapping ErrBadPipeline
+// instead of failing inside the enclave.
 type ClientSpec struct {
 	// Mode is the enclave execution mode. Required.
 	Mode sgx.Mode
@@ -143,18 +125,10 @@ type ClientSpec struct {
 	BurnCPU bool
 	// TransitionCost overrides the enclave transition cost.
 	TransitionCost time.Duration
-	// Pipeline is the typed middlebox pipeline the client boots with
-	// (build with the public mbox package: mbox.Chain, mbox.Raw,
-	// mbox.Stock). Takes precedence over ClickConfig and UseCase.
+	// Pipeline is the middlebox function the client boots with (build
+	// with the public mbox package: mbox.Chain, mbox.Raw, mbox.Stock).
+	// Required.
 	Pipeline click.Pipeline
-	// UseCase selects one of the five stock middlebox configurations.
-	//
-	// Deprecated: prefer Pipeline (mbox.Stock reproduces the use cases).
-	UseCase click.UseCase
-	// ClickConfig overrides UseCase with an explicit configuration.
-	//
-	// Deprecated: prefer Pipeline (mbox.Raw wraps verbatim text).
-	ClickConfig string
 	// ExtraRuleSets adds named IDPS rule sets beyond the community set.
 	ExtraRuleSets map[string]string
 	// Labels attach operator-defined metadata to the client, matched by
@@ -178,30 +152,6 @@ type ClientSpec struct {
 	BuildVersion string
 }
 
-// ErrBadPipeline is the typed error AddClient and Rollout return for
-// middlebox configurations that cannot be compiled (re-exported from the
-// click layer so callers need only this package).
-var ErrBadPipeline = click.ErrBadPipeline
-
-// compileConfig resolves the typed-pipeline-vs-raw-text configuration
-// source shared by ClientSpec and Rollout, fully validating whichever is
-// set against the process registry and the given rule sets (errors wrap
-// ErrBadPipeline). Both empty returns "", nil — the caller supplies its
-// own default or error.
-func compileConfig(p click.Pipeline, raw string, ruleSets map[string]string) (string, error) {
-	switch {
-	case !p.Zero():
-		return p.Compile(nil, ruleSets)
-	case raw != "":
-		if err := click.ValidateConfig(raw, nil, ruleSets); err != nil {
-			return "", err
-		}
-		return raw, nil
-	default:
-		return "", nil
-	}
-}
-
 // mergedRuleSets is the community set plus the given extras — what a
 // client resolves rule-set names against.
 func mergedRuleSets(extra map[string]string) map[string]string {
@@ -210,21 +160,6 @@ func mergedRuleSets(extra map[string]string) map[string]string {
 		ruleSets[name] = text
 	}
 	return ruleSets
-}
-
-// compileSpec resolves a ClientSpec's middlebox configuration source
-// (Pipeline, ClickConfig, or UseCase) and fully validates it. Errors
-// wrap ErrBadPipeline.
-func compileSpec(spec ClientSpec, ruleSets map[string]string) (string, error) {
-	cfg, err := compileConfig(spec.Pipeline, spec.ClickConfig, ruleSets)
-	if err != nil || cfg != "" {
-		return cfg, err
-	}
-	if cfg = click.StandardConfig(spec.UseCase); cfg == "" {
-		return "", fmt.Errorf("%w: ClientSpec selects no middlebox function (set Pipeline, ClickConfig or a known UseCase; got UseCase %d)",
-			ErrBadPipeline, int(spec.UseCase))
-	}
-	return cfg, nil
 }
 
 // Deployment is a wired-up EndBox system. It is safe for concurrent use:
@@ -270,8 +205,7 @@ func CommunityRuleSets() map[string]string {
 	}
 }
 
-// NewDeployment builds the server side: IAS, CA, VPN + config servers, and
-// (for the OpenVPN+Click baseline) a server-side Click instance. The
+// NewDeployment builds the server side: IAS, CA, VPN + config servers. The
 // deployment's transport is bound and ready for clients — in-process ones
 // via AddClient, or remote ones connecting through a socket transport.
 func NewDeployment(opts DeploymentOptions) (*Deployment, error) {
@@ -322,16 +256,6 @@ func NewDeployment(opts DeploymentOptions) (*Deployment, error) {
 		d.admission = lifecycle.NewAdmission(opts.Admission)
 	}
 
-	var serverClick *click.Instance
-	if opts.ServerUseCase != 0 {
-		inst, err := click.NewInstance(click.ServerConfig(opts.ServerUseCase), nil,
-			ServerClickContext(nil))
-		if err != nil {
-			return nil, err
-		}
-		serverClick = inst
-	}
-
 	d.transport = opts.Transport
 	if d.transport == nil {
 		d.transport = NewInProcessTransport()
@@ -355,7 +279,6 @@ func NewDeployment(opts DeploymentOptions) (*Deployment, error) {
 		Mode:           opts.Mode,
 		Clock:          opts.Clock,
 		EncryptConfigs: opts.EncryptConfigs,
-		ServerClick:    serverClick,
 		Deliver:        d.deliver,
 		SendTo:         d.transport.SendToClient,
 		Shards:         opts.Shards,
@@ -517,19 +440,6 @@ func (d *Deployment) observe() Observer {
 	return noopObserver
 }
 
-// failurePolicy resolves the containment policy every client enclave
-// boots with. Unlike the raw library (whose zero value is inert), a
-// deployment contains element panics by default: a managed fleet should
-// degrade one element, not crash a client's data path.
-func (d *Deployment) failurePolicy() click.FailurePolicy {
-	if d.opts.DisableContainment {
-		return click.FailurePolicy{}
-	}
-	p := d.opts.FailurePolicy
-	p.Contain = true
-	return p
-}
-
 // onNack routes a client's sealed configuration rejection to the active
 // canary watch (if any).
 func (d *Deployment) onNack(clientID string, n vpn.Nack) {
@@ -685,36 +595,39 @@ func (d *Deployment) deliver(clientID string, ip []byte) {
 // The context bounds the whole join sequence (attestation, enrolment,
 // handshake); it is safe to call from concurrent goroutines.
 func (d *Deployment) AddClient(ctx context.Context, id string, spec ClientSpec) (*Client, error) {
-	d.mu.Lock()
-	_, dup := d.clients[id]
-	d.mu.Unlock()
-	if dup {
-		// A crashed-and-rebooted client reconnects under its old ID. If
-		// the old session's liveness lapsed, reclaim it and let the fresh
-		// join take the slot over; a still-live duplicate is refused — the
-		// VPN handshake would reject it anyway, and failing here keeps the
-		// error identical across transports and avoids the attestation
-		// work.
-		if !d.Server.VPN().SessionExpired(id) {
-			return nil, fmt.Errorf("core: client %q already connected", id)
-		}
-		d.RemoveClient(id)
-	}
 	return d.join(ctx, id, spec, nil)
 }
 
 // join runs the shared join sequence (Join) for one of the deployment's
-// clients — afresh, or resuming from state — and records the connected
-// client: link, rollout labels, join generation and tunnel address (the
-// resumed session's previous one when still free).
+// clients — afresh, or resuming from state — displacing a previous
+// incarnation under the same ID where that is allowed, and records the
+// connected client: link, rollout labels, join generation and tunnel
+// address (the resumed session's previous one when still free).
 func (d *Deployment) join(ctx context.Context, id string, spec ClientSpec, resume *ResumeState) (*Client, error) {
 	// Compile and validate the middlebox configuration before any link,
 	// enclave or attestation work: a bad pipeline fails here with a typed
 	// error instead of deep inside ecallInitClick.
 	ruleSets := mergedRuleSets(spec.ExtraRuleSets)
-	cfg, err := compileSpec(spec, ruleSets)
+	cfg, err := spec.Pipeline.Compile(nil, ruleSets)
 	if err != nil {
 		return nil, err
+	}
+	d.mu.Lock()
+	_, dup := d.clients[id]
+	d.mu.Unlock()
+	if dup {
+		// A resume replaces any lingering local incarnation: the ticket
+		// plus a signature under the attested key is proof the same
+		// principal is reclaiming its slot. A fresh join under a connected
+		// ID is a crashed-and-rebooted client: if the old session's
+		// liveness lapsed, reclaim it and let the join take the slot over;
+		// a still-live duplicate is refused — the VPN handshake would
+		// reject it anyway, and failing here keeps the error identical
+		// across transports and avoids the attestation work.
+		if resume == nil && !d.Server.VPN().SessionExpired(id) {
+			return nil, fmt.Errorf("core: client %q already connected", id)
+		}
+		d.RemoveClient(id)
 	}
 	obs := d.observe()
 	opts := ClientOptions{
@@ -736,7 +649,7 @@ func (d *Deployment) join(ctx context.Context, id string, spec ClientSpec, resum
 		FlowTTL:            cmp.Or(spec.FlowTTL, d.opts.FlowTTL),
 		Deliver:            func(ip []byte) { obs.PacketReceived(id, ip) },
 		OnAlert:            func(a click.Alert) { obs.Alert(id, a) },
-		FailurePolicy:      d.failurePolicy(),
+		FailurePolicy:      d.opts.FailurePolicy,
 		OnElementFault: func(f click.ElementFault) {
 			if fo, ok := obs.(FaultObserver); ok {
 				fo.OnElementFault(id, f)
@@ -749,6 +662,10 @@ func (d *Deployment) join(ctx context.Context, id string, spec ClientSpec, resum
 		},
 		Clock: d.opts.Clock,
 	}
+	// Unlike the raw library (whose zero policy is inert), a deployment
+	// always contains element panics: a managed fleet should degrade one
+	// element, not crash a client's data path.
+	opts.FailurePolicy.Contain = true
 	var prevAddr packet.Addr
 	if resume != nil {
 		opts.CAPub = d.CA.PublicKey()
@@ -865,18 +782,11 @@ func (d *Deployment) ResumeState(id string) (ResumeState, error) {
 // enrolment round trips), the session from the resumption ticket (no
 // certificate walk, no ECDH), and the previous tunnel address is
 // reclaimed when still free. Any lingering local incarnation of the
-// client is replaced — the ticket plus a signature under the attested
-// key is proof the same principal is reclaiming its slot.
+// client is replaced.
 func (d *Deployment) ResumeClient(ctx context.Context, state ResumeState, spec ClientSpec) (*Client, error) {
 	id := state.ClientID
 	if id == "" || len(state.SealedIdentity) == 0 || len(state.Secret) == 0 || len(state.Ticket) == 0 {
 		return nil, fmt.Errorf("core: incomplete resume state for client %q", id)
-	}
-	d.mu.Lock()
-	_, dup := d.clients[id]
-	d.mu.Unlock()
-	if dup {
-		d.RemoveClient(id)
 	}
 	return d.join(ctx, id, spec, &state)
 }

@@ -23,7 +23,7 @@ func TestManyClientsConcurrentTraffic(t *testing.T) {
 
 	cls := make([]*Client, clients)
 	for i := range cls {
-		cls[i] = addClient(t, d, fmt.Sprintf("c%d", i), ClientSpec{UseCase: click.UseCaseFW})
+		cls[i] = addClient(t, d, fmt.Sprintf("c%d", i), ClientSpec{Pipeline: click.StockPipeline(click.UseCaseFW)})
 	}
 
 	var wg sync.WaitGroup
@@ -76,7 +76,7 @@ func TestPayloadFidelityProperty(t *testing.T) {
 			},
 		},
 	})
-	c := addClient(t, d, "fidelity", ClientSpec{UseCase: click.UseCaseFW})
+	c := addClient(t, d, "fidelity", ClientSpec{Pipeline: click.StockPipeline(click.UseCaseFW)})
 
 	f := func(payload []byte) bool {
 		if len(payload) > 8000 {
@@ -112,16 +112,16 @@ func TestPayloadFidelityProperty(t *testing.T) {
 // and checks the client records it and recovers on the next announce.
 func TestUpdateFetchFailureIsRecorded(t *testing.T) {
 	d := newDeployment(t, DeploymentOptions{})
-	c := addClient(t, d, "c1", ClientSpec{UseCase: click.UseCaseNOP})
+	c := addClient(t, d, "c1", ClientSpec{Pipeline: click.StockPipeline(click.UseCaseNOP)})
 
 	// Sabotage the fetch path, then announce.
 	realFetch := c.opts.FetchConfig
 	c.opts.FetchConfig = func(uint64) ([]byte, error) {
 		return nil, fmt.Errorf("config server unreachable")
 	}
-	publish(t, d, &config.Update{
+	publish(t, d, Rollout{
 		Version: 1, GraceSeconds: 300,
-		ClickConfig: click.StandardConfig(click.UseCaseFW),
+		Pipeline: click.StockPipeline(click.UseCaseFW),
 	})
 	if c.AppliedVersion() != 0 {
 		t.Fatalf("applied = %d despite broken fetch", c.AppliedVersion())
@@ -148,10 +148,10 @@ func TestUpdateFetchFailureIsRecorded(t *testing.T) {
 // on the update path end to end.
 func TestCorruptedUpdateBlobRejected(t *testing.T) {
 	d := newDeployment(t, DeploymentOptions{EncryptConfigs: true})
-	c := addClient(t, d, "c1", ClientSpec{UseCase: click.UseCaseNOP})
-	publish(t, d, &config.Update{
+	c := addClient(t, d, "c1", ClientSpec{Pipeline: click.StockPipeline(click.UseCaseNOP)})
+	publish(t, d, Rollout{
 		Version: 1, GraceSeconds: 300,
-		ClickConfig: click.StandardConfig(click.UseCaseNOP),
+		Pipeline: click.StockPipeline(click.UseCaseNOP),
 	})
 	blob, err := d.Server.Configs().Fetch(1)
 	if err != nil {
@@ -200,7 +200,7 @@ func TestHardwareModeEPCAccounting(t *testing.T) {
 		CAPub:       d.CA.PublicKey(),
 		QE:          qe,
 		Enroll:      d.CA.Enroll,
-		ClickConfig: click.StandardConfig(click.UseCaseNOP),
+		ClickConfig: nopConfig,
 		RuleSets:    CommunityRuleSets(),
 		Send:        func([]byte) error { return nil },
 	})

@@ -58,8 +58,8 @@ func TestKeepaliveLivenessEviction(t *testing.T) {
 			OnEvicted: func(id string) { evictedIDs = append(evictedIDs, id) },
 		},
 	})
-	chatty := addClient(t, d, "chatty", ClientSpec{UseCase: click.UseCaseNOP})
-	addClient(t, d, "silent", ClientSpec{UseCase: click.UseCaseNOP})
+	chatty := addClient(t, d, "chatty", ClientSpec{Pipeline: click.StockPipeline(click.UseCaseNOP)})
+	addClient(t, d, "silent", ClientSpec{Pipeline: click.StockPipeline(click.UseCaseNOP)})
 
 	// Four 14s steps (56s total, just under the TTL): the chatty client
 	// answers with a keepalive each step (an authenticated frame through
@@ -103,7 +103,7 @@ func TestKeepaliveLivenessEviction(t *testing.T) {
 	}
 
 	// The evicted client may rejoin with a fresh handshake.
-	addClient(t, d, "silent", ClientSpec{UseCase: click.UseCaseNOP})
+	addClient(t, d, "silent", ClientSpec{Pipeline: click.StockPipeline(click.UseCaseNOP)})
 }
 
 // TestReconnectAfterCrash pins the stale-duplicate takeover: a client that
@@ -118,18 +118,18 @@ func TestReconnectAfterCrash(t *testing.T) {
 		SessionTTL:    ttl,
 		SweepInterval: -1,
 	})
-	addClient(t, d, "x", ClientSpec{UseCase: click.UseCaseNOP})
+	addClient(t, d, "x", ClientSpec{Pipeline: click.StockPipeline(click.UseCaseNOP)})
 	addrBefore, _ := d.ClientAddr("x")
 
 	// Live duplicate: refused.
-	if _, err := d.AddClient(context.Background(), "x", ClientSpec{Mode: sgx.ModeSimulation, UseCase: click.UseCaseNOP}); err == nil {
+	if _, err := d.AddClient(context.Background(), "x", ClientSpec{Mode: sgx.ModeSimulation, Pipeline: click.StockPipeline(click.UseCaseNOP)}); err == nil {
 		t.Fatal("duplicate AddClient for a live session succeeded")
 	}
 
 	// Crash: the client process is gone but no sweep has run, so the dead
 	// session still occupies the table. The reconnect must take it over.
 	clk.Advance(ttl + 2*time.Second)
-	reborn, err := d.AddClient(context.Background(), "x", ClientSpec{Mode: sgx.ModeSimulation, UseCase: click.UseCaseNOP})
+	reborn, err := d.AddClient(context.Background(), "x", ClientSpec{Mode: sgx.ModeSimulation, Pipeline: click.StockPipeline(click.UseCaseNOP)})
 	if err != nil {
 		t.Fatalf("reconnect after crash: %v", err)
 	}
@@ -150,8 +150,8 @@ func TestReconnectAfterCrash(t *testing.T) {
 // shard of the session table still maps the removed client.
 func TestAddrReuseNoAliasing(t *testing.T) {
 	d := newDeployment(t, DeploymentOptions{})
-	addClient(t, d, "a", ClientSpec{UseCase: click.UseCaseNOP})
-	addClient(t, d, "b", ClientSpec{UseCase: click.UseCaseNOP})
+	addClient(t, d, "a", ClientSpec{Pipeline: click.StockPipeline(click.UseCaseNOP)})
+	addClient(t, d, "b", ClientSpec{Pipeline: click.StockPipeline(click.UseCaseNOP)})
 	addrA, _ := d.ClientAddr("a")
 
 	d.RemoveClient("a")
@@ -162,7 +162,7 @@ func TestAddrReuseNoAliasing(t *testing.T) {
 		t.Fatalf("released address %v not on the free list", addrA)
 	}
 
-	addClient(t, d, "c", ClientSpec{UseCase: click.UseCaseNOP})
+	addClient(t, d, "c", ClientSpec{Pipeline: click.StockPipeline(click.UseCaseNOP)})
 	addrC, _ := d.ClientAddr("c")
 	if addrC != addrA {
 		t.Fatalf("new client got %v, want the recycled %v", addrC, addrA)
@@ -201,7 +201,7 @@ func TestResumeClientInProcess(t *testing.T) {
 			OnReceived: func(string, []byte) { received++ },
 		},
 	})
-	spec := ClientSpec{Mode: sgx.ModeSimulation, UseCase: click.UseCaseNOP}
+	spec := ClientSpec{Mode: sgx.ModeSimulation, Pipeline: click.StockPipeline(click.UseCaseNOP)}
 	addClient(t, d, "r1", spec)
 	addrBefore, _ := d.ClientAddr("r1")
 
@@ -257,7 +257,7 @@ func TestResumeAfterEviction(t *testing.T) {
 		SessionTTL:    ttl,
 		SweepInterval: -1,
 	})
-	spec := ClientSpec{Mode: sgx.ModeSimulation, UseCase: click.UseCaseNOP}
+	spec := ClientSpec{Mode: sgx.ModeSimulation, Pipeline: click.StockPipeline(click.UseCaseNOP)}
 	addClient(t, d, "r2", spec)
 	addrBefore, _ := d.ClientAddr("r2")
 	state, err := d.ResumeState("r2")
@@ -293,10 +293,10 @@ func TestAdmissionMaxSessions(t *testing.T) {
 			OnRefused: func(_ string, err error) { refused = append(refused, err) },
 		},
 	})
-	addClient(t, d, "s1", ClientSpec{UseCase: click.UseCaseNOP})
-	addClient(t, d, "s2", ClientSpec{UseCase: click.UseCaseNOP})
+	addClient(t, d, "s1", ClientSpec{Pipeline: click.StockPipeline(click.UseCaseNOP)})
+	addClient(t, d, "s2", ClientSpec{Pipeline: click.StockPipeline(click.UseCaseNOP)})
 
-	_, err := d.AddClient(context.Background(), "s3", ClientSpec{Mode: sgx.ModeSimulation, UseCase: click.UseCaseNOP})
+	_, err := d.AddClient(context.Background(), "s3", ClientSpec{Mode: sgx.ModeSimulation, Pipeline: click.StockPipeline(click.UseCaseNOP)})
 	if !errors.Is(err, lifecycle.ErrServerFull) {
 		t.Fatalf("third AddClient error = %v, want ErrServerFull", err)
 	}
@@ -308,7 +308,7 @@ func TestAdmissionMaxSessions(t *testing.T) {
 	}
 
 	d.RemoveClient("s1")
-	addClient(t, d, "s3", ClientSpec{UseCase: click.UseCaseNOP})
+	addClient(t, d, "s3", ClientSpec{Pipeline: click.StockPipeline(click.UseCaseNOP)})
 }
 
 // TestAdmissionHandshakeRate pins the token bucket on the deployment
@@ -319,15 +319,15 @@ func TestAdmissionHandshakeRate(t *testing.T) {
 		Clock:     clk.Now,
 		Admission: lifecycle.AdmissionConfig{HandshakeRate: 1, HandshakeBurst: 1},
 	})
-	addClient(t, d, "t1", ClientSpec{UseCase: click.UseCaseNOP})
+	addClient(t, d, "t1", ClientSpec{Pipeline: click.StockPipeline(click.UseCaseNOP)})
 
-	_, err := d.AddClient(context.Background(), "t2", ClientSpec{Mode: sgx.ModeSimulation, UseCase: click.UseCaseNOP})
+	_, err := d.AddClient(context.Background(), "t2", ClientSpec{Mode: sgx.ModeSimulation, Pipeline: click.StockPipeline(click.UseCaseNOP)})
 	if !errors.Is(err, lifecycle.ErrAdmissionThrottled) {
 		t.Fatalf("burst-exhausted AddClient error = %v, want ErrAdmissionThrottled", err)
 	}
 
 	clk.Advance(2 * time.Second) // refills one token at 1/s
-	addClient(t, d, "t2", ClientSpec{UseCase: click.UseCaseNOP})
+	addClient(t, d, "t2", ClientSpec{Pipeline: click.StockPipeline(click.UseCaseNOP)})
 	if st := d.LifecycleStats(); st.Admission.Throttled != 1 {
 		t.Errorf("Throttled = %d, want 1", st.Admission.Throttled)
 	}
@@ -354,7 +354,7 @@ func TestConnectStormBounded(t *testing.T) {
 			defer wg.Done()
 			id := fmt.Sprintf("storm-%02d", i)
 			for {
-				_, err := d.AddClient(context.Background(), id, ClientSpec{Mode: sgx.ModeSimulation, UseCase: click.UseCaseNOP})
+				_, err := d.AddClient(context.Background(), id, ClientSpec{Mode: sgx.ModeSimulation, Pipeline: click.StockPipeline(click.UseCaseNOP)})
 				if errors.Is(err, lifecycle.ErrAdmissionThrottled) {
 					continue // back off and retry, like a real client
 				}

@@ -35,7 +35,7 @@ func TestLonePacketAllocs(t *testing.T) {
 	}
 	const runs = 200
 	d := newDeployment(t, DeploymentOptions{})
-	c := addClient(t, d, "c1", ClientSpec{UseCase: click.UseCaseNOP})
+	c := addClient(t, d, "c1", ClientSpec{Pipeline: click.StockPipeline(click.UseCaseNOP)})
 	src, dst := packet.AddrFrom(10, 8, 0, 2), packet.AddrFrom(192, 0, 2, 1)
 	pkt := packet.NewUDP(src, dst, 40000, 80, make([]byte, 64))
 

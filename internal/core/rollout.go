@@ -83,15 +83,14 @@ func (s Selector) matches(id string, labels map[string]string, meas sgx.Measurem
 	return true
 }
 
-// Rollout describes one middlebox configuration rollout: a pipeline (or
-// raw configuration), the version it publishes as, the grace period
-// within which targeted clients must converge, and the set of clients it
-// applies to. A zero Target rolls out globally — the typed successor of
-// Server.PublishUpdate; a non-empty Target publishes the update, arms a
-// per-client policy requirement for the selected clients only, and
-// announces the version to exactly those clients, leaving the rest of the
-// fleet on the globally current configuration (canary rings, per-site
-// configurations, staged migrations).
+// Rollout describes one middlebox configuration rollout: a pipeline, the
+// version it publishes as, the grace period within which targeted clients
+// must converge, and the set of clients it applies to. A zero Target rolls
+// out globally; a non-empty Target publishes the update, arms a per-client
+// policy requirement for the selected clients only, and announces the
+// version to exactly those clients, leaving the rest of the fleet on the
+// globally current configuration (canary rings, per-site configurations,
+// staged migrations).
 type Rollout struct {
 	// Version is the update's version; it must be newer than every
 	// previously published version. Required.
@@ -100,14 +99,15 @@ type Rollout struct {
 	// clients' previous configuration version (paper §III-E). For a
 	// targeted rollout the deadline applies per target group.
 	GraceSeconds uint32
-	// Pipeline is the typed pipeline to roll out (takes precedence over
-	// ClickConfig). Compiled and validated before anything is published.
+	// Pipeline is the middlebox function to roll out. Compiled and
+	// validated before anything is published. Required.
 	Pipeline click.Pipeline
-	// ClickConfig is the raw-text alternative to Pipeline.
-	ClickConfig string
 	// RuleSets ships named IDPS rule sets with the update.
 	RuleSets map[string]string
-	// Target selects the clients to roll out to (zero = all).
+	// Target selects the clients to roll out to (zero = all). A Target
+	// naming exactly one measurement seals the update to that build: no
+	// other build can open it (ErrSealedToOtherBuild; they keep their
+	// last-known-good configuration).
 	Target Selector
 }
 
@@ -126,63 +126,64 @@ type RolloutResult struct {
 	Clients []string
 }
 
-// Rollout publishes a typed middlebox update to a targeted set of clients
-// (or, with an empty Target, to the whole fleet — equivalent to
-// Server.PublishUpdate). The pipeline is compiled and validated first, so
-// a bad configuration returns an error wrapping ErrBadPipeline before
-// anything is published or announced. The context bounds the sealing and
-// the announcement fan-out.
+// Rollout publishes a middlebox update to a targeted set of clients (or,
+// with an empty Target, to the whole fleet). It is the one public publish
+// call: the pipeline is compiled and validated first, so a bad
+// configuration returns an error wrapping ErrBadPipeline before anything is
+// published or announced. The context bounds the sealing and the
+// announcement fan-out.
 func (d *Deployment) Rollout(ctx context.Context, r Rollout) (RolloutResult, error) {
 	if err := ctx.Err(); err != nil {
 		return RolloutResult{}, err
 	}
-	if r.Version == 0 {
-		return RolloutResult{}, fmt.Errorf("core: rollout needs a version")
+	ids, seqs := d.selectClients(r.Target)
+	audience := ids
+	if r.Target.Empty() {
+		audience = nil // the whole fleet, whoever joins meanwhile included
 	}
-	// Validate against the community set plus whatever the update ships:
-	// that is what a freshly joined client resolves rule sets from. The
-	// helper is the same one AddClient uses, so the two API entry points
-	// cannot drift in what they accept.
-	cfg, err := compileConfig(r.Pipeline, r.ClickConfig, mergedRuleSets(r.RuleSets))
-	if err != nil {
+	if err := d.stage(ctx, r, audience, seqs); err != nil {
 		return RolloutResult{}, err
 	}
-	if cfg == "" {
-		return RolloutResult{}, fmt.Errorf("%w: rollout selects no middlebox function (set Pipeline or ClickConfig)", ErrBadPipeline)
-	}
+	return RolloutResult{Version: r.Version, Clients: ids}, nil
+}
 
+// stage is the one publish step behind Rollout, RolloutCanary's staging
+// and its rollback: compile and validate the pipeline, build the update,
+// seal it to the build when the selector names exactly one, and publish
+// it to the audience (nil = the whole fleet; otherwise IDs selectClients
+// returned together with seqs).
+func (d *Deployment) stage(ctx context.Context, r Rollout, audience []string, seqs map[string]uint64) error {
+	if r.Version == 0 {
+		return fmt.Errorf("core: rollout needs a version")
+	}
+	// Validate against the community set plus whatever the update ships:
+	// that is what a freshly joined client resolves rule sets from, and
+	// what AddClient validates against.
+	cfg, err := r.Pipeline.Compile(nil, mergedRuleSets(r.RuleSets))
+	if err != nil {
+		return err
+	}
 	u := &config.Update{
 		Version:      r.Version,
 		GraceSeconds: r.GraceSeconds,
 		ClickConfig:  cfg,
 		RuleSets:     r.RuleSets,
 	}
-	if r.Target.Empty() {
-		if err := d.Server.PublishUpdate(ctx, u); err != nil {
-			return RolloutResult{}, err
-		}
-		return RolloutResult{Version: r.Version, Clients: d.connectedIDs()}, nil
-	}
-	ids, seqs := d.selectClients(r.Target)
-	if m, ok := d.sealTarget(r.Target); ok {
-		if err := d.Server.PublishTargetedSealed(ctx, u, ids, m); err != nil {
-			return RolloutResult{}, err
-		}
-	} else if err := d.Server.PublishTargeted(ctx, u, ids); err != nil {
-		return RolloutResult{}, err
+	if err := d.Server.Publish(ctx, u, audience, sealTarget(r.Target)); err != nil {
+		return err
 	}
 	// Close the race with a concurrent RemoveClient (or a remove + same-ID
 	// rejoin): an ID whose join generation changed between the selector
 	// snapshot and the announcement must not keep the freshly armed
 	// target — the client it now names was never part of this rollout.
 	d.mu.Lock()
-	for _, id := range ids {
+	for _, id := range audience {
 		if d.joinSeq[id] != seqs[id] {
 			d.Server.VPN().Policy().ForgetClient(id)
 		}
 	}
 	d.mu.Unlock()
-	return RolloutResult{Version: r.Version, Clients: ids}, nil
+	return nil
 }
 
 // selectClients returns the sorted IDs of connected clients the selector
@@ -224,31 +225,14 @@ func (d *Deployment) selectClients(sel Selector) ([]string, map[string]uint64) {
 	return ids, seqs
 }
 
-// sealTarget decides whether a targeted rollout's update blob is sealed
-// to a measurement: the deployment opted in (SealToMeasurement) and the
-// selector names exactly one measurement, so the key is unambiguous. A
-// sealed blob is cryptographically unopenable by every other build — the
-// strongest form of "zero cross-build config leaks".
-func (d *Deployment) sealTarget(sel Selector) (sgx.Measurement, bool) {
-	if !d.opts.SealToMeasurement || len(sel.Measurements) != 1 || sel.Measurements[0].IsZero() {
-		return sgx.Measurement{}, false
+// sealTarget is the measurement a rollout's update blob is sealed to
+// (zero: the fleet-shared key). A selector naming exactly one measurement
+// makes the key unambiguous, and a sealed blob is cryptographically
+// unopenable by every other build — the strongest form of "zero
+// cross-build config leaks".
+func sealTarget(sel Selector) sgx.Measurement {
+	if len(sel.Measurements) != 1 {
+		return sgx.Measurement{}
 	}
-	return sel.Measurements[0], true
-}
-
-// connectedIDs returns every connected client ID, sorted.
-func (d *Deployment) connectedIDs() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	ids := make([]string, 0, len(d.clients))
-	for id := range d.clients {
-		ids = append(ids, id)
-	}
-	for _, id := range d.Server.VPN().ClientIDs() {
-		if _, inproc := d.clients[id]; !inproc {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	return ids
+	return sel.Measurements[0]
 }

@@ -5,14 +5,12 @@ import (
 	"crypto/ed25519"
 	"crypto/rand"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
 	"endbox/internal/attest"
 	"endbox/internal/click"
 	"endbox/internal/config"
-	"endbox/internal/idps"
 	"endbox/internal/packet"
 	"endbox/internal/policy"
 	"endbox/internal/sgx"
@@ -155,69 +153,24 @@ func (s *Server) VPN() *vpn.Server { return s.vpn }
 // Configs exposes the configuration file server clients fetch from.
 func (s *Server) Configs() *config.Server { return s.configs }
 
-// PublishUpdate is the administrator's one call to roll out a new
-// middlebox configuration (paper Fig. 5 steps 1-4): seal it under the CA
-// key (encrypting if configured), upload to the configuration server,
-// arm the grace-period policy and ping all clients. The context bounds the
-// rollout (sealing plus the announcement fan-out).
-func (s *Server) PublishUpdate(ctx context.Context, u *config.Update) error {
+// Publish is the one publish sequence (paper Fig. 5 steps 1-4): seal the
+// update under the CA key, upload it to the configuration server and
+// journal it, arm the grace-period policy and ping. A nil audience is the
+// whole fleet — the global requirement moves to the version and every
+// client is pinged; a non-nil audience (empty included: late joiners can
+// still fetch) arms a per-client requirement for exactly those IDs and
+// pings only them, leaving everyone else judged against the globally
+// current version. The blob is encrypted under the fleet-shared key when
+// the deployment encrypts configurations; a non-zero sealTo instead binds
+// it to one enclave build, under the CA's per-measurement key, so every
+// other build fails with ErrSealedToOtherBuild and keeps its
+// last-known-good configuration. The update is published as given, with no
+// pipeline validation — Deployment.Rollout is the public, validating
+// entry point. The context bounds the sealing and the announcement fan-out.
+func (s *Server) Publish(ctx context.Context, u *config.Update, audience []string, sealTo sgx.Measurement) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if err := s.sealAndPublish(u, sgx.Measurement{}); err != nil {
-		return err
-	}
-	if err := s.vpn.Policy().Announce(u.Version, u.GracePeriod()); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.nextVer = u.Version
-	s.lastGrace = u.GracePeriod()
-	s.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return s.vpn.BroadcastPing(u.GracePeriod())
-}
-
-// PublishTargeted seals and publishes an update like PublishUpdate but
-// announces it only to the given clients: the configuration server stores
-// the blob (any client may fetch it), the policy arms a per-client
-// requirement for exactly the targeted IDs, and only they are pinged.
-// Untargeted clients keep being judged against the globally current
-// version. Deployment.Rollout is the public entry point.
-func (s *Server) PublishTargeted(ctx context.Context, u *config.Update, clientIDs []string) error {
-	return s.PublishTargetedSealed(ctx, u, clientIDs, sgx.Measurement{})
-}
-
-// PublishTargetedSealed is PublishTargeted with the blob additionally
-// sealed to one enclave build: it encrypts under the CA's per-measurement
-// key instead of the fleet-shared key, so only enclaves attesting sealTo
-// can open it — every other build fails with ErrSealedToOtherBuild and
-// keeps its last-known-good configuration. A zero sealTo degrades to
-// PublishTargeted.
-func (s *Server) PublishTargetedSealed(ctx context.Context, u *config.Update, clientIDs []string, sealTo sgx.Measurement) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if err := s.sealAndPublish(u, sealTo); err != nil {
-		return err
-	}
-	if err := s.vpn.Policy().AnnounceTarget(clientIDs, u.Version, u.GracePeriod()); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return s.vpn.PingClients(clientIDs, u.Version, u.GracePeriod())
-}
-
-// sealAndPublish seals an update under the CA key (encrypting when the
-// deployment is configured to) and stores it on the configuration file
-// server — the publication steps shared by global and targeted rollouts.
-// A non-zero sealTo binds the blob to one enclave build: encryption under
-// the CA's per-measurement key, regardless of EncryptConfigs.
-func (s *Server) sealAndPublish(u *config.Update, sealTo sgx.Measurement) error {
 	var blob []byte
 	var err error
 	if !sealTo.IsZero() {
@@ -238,7 +191,7 @@ func (s *Server) sealAndPublish(u *config.Update, sealTo sgx.Measurement) error 
 	s.mu.Lock()
 	s.journal[u.Version] = u
 	s.mu.Unlock()
-	return nil
+	return s.announce(ctx, u.Version, u.GracePeriod(), audience)
 }
 
 // JournalEntry returns the published update recorded under a version.
@@ -264,6 +217,22 @@ func (s *Server) AnnounceGlobal(ctx context.Context, version uint64, grace time.
 	if _, ok := s.JournalEntry(version); !ok {
 		return fmt.Errorf("core: version %d was never published", version)
 	}
+	return s.announce(ctx, version, grace, nil)
+}
+
+// announce is the policy-and-ping half shared by Publish and
+// AnnounceGlobal: arm the requirement for the audience (nil = the whole
+// fleet, which also moves LatestGlobal), then ping it.
+func (s *Server) announce(ctx context.Context, version uint64, grace time.Duration, audience []string) error {
+	if audience != nil {
+		if err := s.vpn.Policy().AnnounceTarget(audience, version, grace); err != nil {
+			return err
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		return s.vpn.PingClients(audience, version, grace)
+	}
 	if err := s.vpn.Policy().Announce(version, grace); err != nil {
 		return err
 	}
@@ -271,6 +240,9 @@ func (s *Server) AnnounceGlobal(ctx context.Context, version uint64, grace time.
 	s.nextVer = version
 	s.lastGrace = grace
 	s.mu.Unlock()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	return s.vpn.BroadcastPing(grace)
 }
 
@@ -292,48 +264,4 @@ func (s *Server) BroadcastPing() error {
 	grace := s.lastGrace
 	s.mu.Unlock()
 	return s.vpn.BroadcastPing(grace)
-}
-
-// VanillaDeviceSetup performs the file-descriptor work vanilla Click's
-// FromDevice and ToDevice elements do each time a configuration is
-// installed — the cost the paper identifies as why EndBox reconfigures
-// faster (Table II: "vanilla Click needs to set up file descriptors for
-// the ToDevice and FromDevice elements, which is not necessary for ENDBOX
-// because OpenVPN took care of this task earlier"). EndBox deployments
-// pass no device setup at all.
-func VanillaDeviceSetup() error {
-	r, w, err := os.Pipe()
-	if err != nil {
-		return fmt.Errorf("core: device setup: %w", err)
-	}
-	// Touch the descriptors like a device open/configure sequence would.
-	if _, err := w.Write([]byte{0}); err != nil {
-		r.Close()
-		w.Close()
-		return fmt.Errorf("core: device setup: %w", err)
-	}
-	var buf [1]byte
-	if _, err := r.Read(buf[:]); err != nil {
-		r.Close()
-		w.Close()
-		return fmt.Errorf("core: device setup: %w", err)
-	}
-	r.Close()
-	w.Close()
-	return nil
-}
-
-// ServerClickContext builds the Click context for a server-side (vanilla)
-// instance: untrusted time, community rules, and real device setup — the
-// file-descriptor work EndBox avoids (Table II).
-func ServerClickContext(deviceSetup func() error) *click.Context {
-	return &click.Context{
-		RuleSet: func(name string) (string, error) {
-			if name != "community" {
-				return "", fmt.Errorf("core: unknown rule set %q", name)
-			}
-			return idps.GenerateRuleSet(idps.CommunityRuleCount, 2018), nil
-		},
-		DeviceSetup: deviceSetup,
-	}
 }

@@ -62,10 +62,7 @@ func setupVersionedFleet(cfg Config) (*Instance, error) {
 
 	// Virtual time keeps the grace period from ever expiring mid-run, so
 	// the only thing that may remove a session is the revocation.
-	e, err := newEnv(cfg.Transport, core.DeploymentOptions{
-		Policy:            policy.NewRegistry(),
-		SealToMeasurement: true,
-	}, true)
+	e, err := newEnv(cfg.Transport, core.DeploymentOptions{Policy: policy.NewRegistry()}, true)
 	if err != nil {
 		return nil, err
 	}

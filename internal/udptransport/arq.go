@@ -19,12 +19,19 @@ package udptransport
 // refers to an outgoing transfer X of the ack's receiver, so the two
 // endpoints allocate IDs independently.
 //
+// Every MsgRel and MsgAck datagram ends in a CRC-32C trailer over the whole
+// datagram, checked before anything is decoded: most control messages are
+// unsealed JSON, so without it a flipped bit would be delivered (and
+// answered with an error) or would acknowledge segments that never
+// arrived. A mismatch is dropped silently — corruption behaves like loss.
+//
 // Data-channel frames (MsgFrame) never pass through this layer: they stay
 // fire-and-forget and allocation-free.
 
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand/v2"
 	"net"
 	"sync"
@@ -42,8 +49,10 @@ const (
 	relHeaderLen = 1 + 4 + 2 + 2
 	// ackBodyLen is the MsgAck body: transfer id, cumulative ack, bitmap.
 	ackBodyLen = 4 + 2 + 4
+	// crcLen is the CRC-32C trailer closing every MsgRel and MsgAck.
+	crcLen = 4
 	// maxRelInner bounds the inner datagram a single segment can carry.
-	maxRelInner = MaxDatagram - relHeaderLen
+	maxRelInner = MaxDatagram - relHeaderLen - crcLen
 	// maxSegments bounds a transfer's segment count. Derived from
 	// MaxChunks so the largest configuration fetch the chunker may
 	// produce is always sendable as one transfer (the uint16 seq space
@@ -75,19 +84,40 @@ var ErrRetryBudget = fmt.Errorf("udptransport: retransmit budget exhausted")
 // ErrLinkClosed reports a transfer aborted because its endpoint closed.
 var ErrLinkClosed = fmt.Errorf("udptransport: link closed")
 
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// putCRC fills a datagram's last crcLen bytes with the CRC-32C of
+// everything before them and returns the datagram.
+func putCRC(datagram []byte) []byte {
+	n := len(datagram) - crcLen
+	binary.BigEndian.PutUint32(datagram[n:], crc32.Checksum(datagram[:n], castagnoli))
+	return datagram
+}
+
+// checkCRC verifies a received datagram's trailer and returns its body:
+// the datagram without type byte and trailer.
+func checkCRC(datagram []byte) ([]byte, bool) {
+	n := len(datagram) - crcLen
+	if n < 1 {
+		return nil, false
+	}
+	return datagram[1:n], crc32.Checksum(datagram[:n], castagnoli) == binary.BigEndian.Uint32(datagram[n:])
+}
+
 // encodeRel wraps one inner datagram in a MsgRel envelope.
 func encodeRel(xfer uint32, seq, total uint16, inner []byte) []byte {
-	out := make([]byte, relHeaderLen+len(inner))
+	out := make([]byte, relHeaderLen+len(inner)+crcLen)
 	out[0] = MsgRel
 	binary.BigEndian.PutUint32(out[1:], xfer)
 	binary.BigEndian.PutUint16(out[5:], seq)
 	binary.BigEndian.PutUint16(out[7:], total)
 	copy(out[relHeaderLen:], inner)
-	return out
+	return putCRC(out)
 }
 
-// decodeRel splits a MsgRel body (without the type byte) into its header
-// and inner datagram. The inner slice aliases body.
+// decodeRel splits a MsgRel body (without the type byte and the verified
+// trailer) into its header and inner datagram. The inner slice aliases
+// body.
 func decodeRel(body []byte) (xfer uint32, seq, total uint16, inner []byte, err error) {
 	if len(body) < relHeaderLen-1 {
 		return 0, 0, 0, nil, fmt.Errorf("udptransport: short reliable envelope (%d bytes)", len(body))
@@ -104,15 +134,16 @@ func decodeRel(body []byte) (xfer uint32, seq, total uint16, inner []byte, err e
 // encodeAck builds a MsgAck datagram: cum is the next expected seq (all
 // segments below it received); bitmap bit i reports segment cum+i.
 func encodeAck(xfer uint32, cum uint16, bitmap uint32) []byte {
-	out := make([]byte, 1+ackBodyLen)
+	out := make([]byte, 1+ackBodyLen+crcLen)
 	out[0] = MsgAck
 	binary.BigEndian.PutUint32(out[1:], xfer)
 	binary.BigEndian.PutUint16(out[5:], cum)
 	binary.BigEndian.PutUint32(out[7:], bitmap)
-	return out
+	return putCRC(out)
 }
 
-// decodeAck splits a MsgAck body (without the type byte).
+// decodeAck splits a MsgAck body (without the type byte and the verified
+// trailer).
 func decodeAck(body []byte) (xfer uint32, cum uint16, bitmap uint32, err error) {
 	if len(body) != ackBodyLen {
 		return 0, 0, 0, fmt.Errorf("udptransport: bad ack length %d", len(body))
@@ -135,6 +166,7 @@ type ARQStats struct {
 	AcksSent       uint64
 	DupSegments    uint64 // received segments dropped as duplicates
 	GapProbes      uint64 // receiver-initiated hole advertisements
+	BadChecksum    uint64 // received MsgRel/MsgAck dropped on a CRC mismatch
 }
 
 // arq is one endpoint's ARQ state over a datagram socket, shared by all
@@ -348,9 +380,27 @@ func (a *arq) onTimeout(x *xmit) {
 	}
 }
 
-// handleAck processes one MsgAck body for a peer: advance the window,
-// fast-retransmit advertised holes, and open room for unsent segments.
-func (a *arq) handleAck(peerKey string, body []byte) {
+// verify checks a received datagram's trailer (checkCRC), counting a
+// mismatch.
+func (a *arq) verify(datagram []byte) ([]byte, bool) {
+	body, ok := checkCRC(datagram)
+	if !ok {
+		a.mu.Lock()
+		a.stats.BadChecksum++
+		a.mu.Unlock()
+	}
+	return body, ok
+}
+
+// handleAck processes one received MsgAck datagram for a peer: advance the
+// window, fast-retransmit advertised holes, and open room for unsent
+// segments. A corrupted ack is dropped — it must not acknowledge segments
+// that never arrived.
+func (a *arq) handleAck(peerKey string, datagram []byte) {
+	body, ok := a.verify(datagram)
+	if !ok {
+		return
+	}
 	xfer, cum, bitmap, err := decodeAck(body)
 	if err != nil {
 		return
@@ -448,12 +498,17 @@ func (a *arq) handleAck(peerKey string, body []byte) {
 	}
 }
 
-// handleRel processes one incoming MsgRel body. deliver hands the inner
-// datagram upward and reports whether it was accepted; a refused delivery
-// is treated as loss (not acknowledged) so the sender retries later. The
-// inner slice aliases body and is lent to deliver for the duration of the
-// call only.
-func (a *arq) handleRel(peerKey string, addr *net.UDPAddr, body []byte, deliver func(inner []byte) bool) {
+// handleRel processes one received MsgRel datagram. A corrupted segment is
+// dropped like a lost one: no ack, no delivery, no peer state. deliver
+// hands the inner datagram upward and reports whether it was accepted; a
+// refused delivery is treated as loss (not acknowledged) so the sender
+// retries later. The inner slice aliases datagram and is lent to deliver
+// for the duration of the call only.
+func (a *arq) handleRel(peerKey string, addr *net.UDPAddr, datagram []byte, deliver func(inner []byte) bool) {
+	body, ok := a.verify(datagram)
+	if !ok {
+		return
+	}
 	xfer, seq, total, inner, err := decodeRel(body)
 	if err != nil {
 		return

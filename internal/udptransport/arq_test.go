@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -23,14 +25,24 @@ func fastARQ() RetransmitConfig {
 	}
 }
 
+// opened verifies a MsgRel/MsgAck datagram's CRC trailer and returns what
+// decodeRel/decodeAck take: the datagram without type byte and trailer.
+func opened(tb testing.TB, datagram []byte) []byte {
+	tb.Helper()
+	body, ok := checkCRC(datagram)
+	if !ok {
+		tb.Fatalf("bad checksum on %x", datagram)
+	}
+	return body
+}
+
 func TestRelEnvelopeRoundTrip(t *testing.T) {
 	inner := Encode(MsgFetch, []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	seg := encodeRel(0xDEADBEEF, 3, 9, inner)
-	msgType, body, err := Decode(seg)
-	if err != nil || msgType != MsgRel {
-		t.Fatalf("type %c err %v", msgType, err)
+	if seg[0] != MsgRel {
+		t.Fatalf("type %c", seg[0])
 	}
-	xfer, seq, total, got, err := decodeRel(body)
+	xfer, seq, total, got, err := decodeRel(opened(t, seg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +67,10 @@ func TestRelEnvelopeErrors(t *testing.T) {
 
 func TestAckRoundTrip(t *testing.T) {
 	ack := encodeAck(7, 12, 0b1010)
-	msgType, body, err := Decode(ack)
-	if err != nil || msgType != MsgAck {
-		t.Fatalf("type %c err %v", msgType, err)
+	if ack[0] != MsgAck {
+		t.Fatalf("type %c", ack[0])
 	}
-	xfer, cum, bitmap, err := decodeAck(body)
+	xfer, cum, bitmap, err := decodeAck(opened(t, ack))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,27 +118,19 @@ func newARQPair(cfg RetransmitConfig, aFilter, bFilter SendFilter, deliverA, del
 	p.a = newARQ(cfg, func(_ *net.UDPAddr, d []byte) error { return aTx(d) }, nil)
 	p.b = newARQ(cfg, func(_ *net.UDPAddr, d []byte) error { return bTx(d) }, nil)
 	p.aRecv = func(datagram []byte) {
-		msgType, body, err := Decode(datagram)
-		if err != nil {
-			return
-		}
-		switch msgType {
+		switch datagram[0] {
 		case MsgRel:
-			p.a.handleRel("peer", nil, body, deliverA)
+			p.a.handleRel("peer", nil, datagram, deliverA)
 		case MsgAck:
-			p.a.handleAck("peer", body)
+			p.a.handleAck("peer", datagram)
 		}
 	}
 	p.bRecv = func(datagram []byte) {
-		msgType, body, err := Decode(datagram)
-		if err != nil {
-			return
-		}
-		switch msgType {
+		switch datagram[0] {
 		case MsgRel:
-			p.b.handleRel("peer", nil, body, deliverB)
+			p.b.handleRel("peer", nil, datagram, deliverB)
 		case MsgAck:
-			p.b.handleAck("peer", body)
+			p.b.handleAck("peer", datagram)
 		}
 	}
 	return p
@@ -229,6 +232,86 @@ func TestARQRestartedSenderSamePeerKey(t *testing.T) {
 	defer mu.Unlock()
 	if len(got) != 2 || got[1] != "second incarnation" {
 		t.Fatalf("delivered %q, want both incarnations' transfers", got)
+	}
+}
+
+// flipFirstCopies is a SendFilter that flips one seeded bit (never in the
+// type byte, so the datagram still reaches the ARQ) in the first copy of
+// every distinct datagram; retransmissions pass untouched.
+func flipFirstCopies(seed uint64) SendFilter {
+	var mu sync.Mutex
+	seen := make(map[string]bool)
+	rng := rand.New(rand.NewPCG(seed, 0))
+	return func(d []byte, transmit func([]byte) error) error {
+		mu.Lock()
+		first := !seen[string(d)]
+		seen[string(d)] = true
+		bit := 8 + rng.IntN(8*(len(d)-1))
+		mu.Unlock()
+		if first {
+			d = append([]byte(nil), d...)
+			d[bit/8] ^= 1 << (bit % 8)
+		}
+		return transmit(d)
+	}
+}
+
+// TestARQCorruptedFirstCopies flips a bit in the first copy of every
+// segment and every ack. Corruption must behave exactly like loss: the
+// handler only ever sees inner datagrams byte-identical to what was sent,
+// each once, and no corrupted ack completes the transfer early.
+func TestARQCorruptedFirstCopies(t *testing.T) {
+	inners := make([][]byte, 12) // > window of 8: corrupted acks must not open it
+	sent := make(map[string]bool)
+	for i := range inners {
+		inners[i] = []byte(fmt.Sprintf(`{"request":"segment-%02d","padding":"%s"}`, i, strings.Repeat("x", 64)))
+		sent[string(inners[i])] = true
+	}
+	var mu sync.Mutex
+	delivered := make(map[string]int)
+	pair := newARQPair(fastARQ(), flipFirstCopies(1), flipFirstCopies(2),
+		func([]byte) bool { return true },
+		func(inner []byte) bool {
+			mu.Lock()
+			delivered[string(inner)]++
+			mu.Unlock()
+			return true
+		})
+	defer pair.close()
+
+	x, err := pair.a.send("peer", nil, inners)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := waitFor(func() bool {
+		s, _ := pair.a.active()
+		return s == 0
+	}); err != nil {
+		t.Fatalf("transfer never completed: %v (sender %+v, receiver %+v)", err, pair.a.snapshot(), pair.b.snapshot())
+	}
+	select {
+	case err := <-x.failed:
+		t.Fatalf("transfer failed: %v", err)
+	default:
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for inner, n := range delivered {
+		if !sent[inner] {
+			t.Errorf("handler saw an altered datagram: %q", inner)
+		} else if n != 1 {
+			t.Errorf("segment %q delivered %d times", inner, n)
+		}
+	}
+	if len(delivered) != len(inners) {
+		t.Errorf("delivered %d distinct segments, want %d", len(delivered), len(inners))
+	}
+	// Every segment's and (at least) the first ack's first copy was dropped.
+	if st := pair.b.snapshot(); st.BadChecksum < uint64(len(inners)) {
+		t.Errorf("receiver BadChecksum = %d, want >= %d", st.BadChecksum, len(inners))
+	}
+	if st := pair.a.snapshot(); st.BadChecksum == 0 || st.TransfersDone != 1 {
+		t.Errorf("sender stats %+v, want corrupted acks dropped and the transfer done", st)
 	}
 }
 
@@ -387,8 +470,8 @@ func TestARQReceiverDedupes(t *testing.T) {
 	delivered := 0
 	deliver := func([]byte) bool { delivered++; return true }
 	seg := encodeRel(1, 0, 2, []byte("dup-me"))
-	a.handleRel("p", nil, seg[1:], deliver)
-	a.handleRel("p", nil, seg[1:], deliver)
+	a.handleRel("p", nil, seg, deliver)
+	a.handleRel("p", nil, seg, deliver)
 	if delivered != 1 {
 		t.Fatalf("delivered %d times, want 1", delivered)
 	}
@@ -399,7 +482,7 @@ func TestARQReceiverDedupes(t *testing.T) {
 	}
 	// Both acks advertise the hole at seq 1: cum=1, bitmap 0.
 	for i, ack := range acks {
-		xfer, cum, bitmap, err := decodeAck(ack[1:])
+		xfer, cum, bitmap, err := decodeAck(opened(t, ack))
 		if err != nil || xfer != 1 || cum != 1 || bitmap != 0 {
 			t.Errorf("ack %d = xfer %d cum %d bitmap %b err %v", i, xfer, cum, bitmap, err)
 		}
@@ -424,10 +507,10 @@ func TestARQCompletedTransferReAcked(t *testing.T) {
 	delivered := 0
 	deliver := func([]byte) bool { delivered++; return true }
 	seg := encodeRel(9, 0, 1, []byte("once"))
-	a.handleRel("p", nil, seg[1:], deliver)
+	a.handleRel("p", nil, seg, deliver)
 	// Late retransmits of a completed transfer: re-acked, not re-delivered.
-	a.handleRel("p", nil, seg[1:], deliver)
-	a.handleRel("p", nil, seg[1:], deliver)
+	a.handleRel("p", nil, seg, deliver)
+	a.handleRel("p", nil, seg, deliver)
 	if delivered != 1 {
 		t.Fatalf("delivered %d times, want 1", delivered)
 	}
@@ -465,7 +548,7 @@ func TestARQRefusedDeliveryNotAcked(t *testing.T) {
 		return true
 	}
 	seg := encodeRel(4, 0, 1, []byte("try-again"))
-	a.handleRel("p", nil, seg[1:], deliver)
+	a.handleRel("p", nil, seg, deliver)
 	mu.Lock()
 	if lastAck != nil {
 		mu.Unlock()
@@ -473,7 +556,7 @@ func TestARQRefusedDeliveryNotAcked(t *testing.T) {
 	}
 	mu.Unlock()
 	refuse = false
-	a.handleRel("p", nil, seg[1:], deliver) // the retransmit
+	a.handleRel("p", nil, seg, deliver) // the retransmit
 	if delivered != 1 {
 		t.Fatalf("delivered %d times, want 1", delivered)
 	}
@@ -482,7 +565,7 @@ func TestARQRefusedDeliveryNotAcked(t *testing.T) {
 	if lastAck == nil {
 		t.Fatal("accepted delivery not acknowledged")
 	}
-	if _, cum, _, _ := decodeAck(lastAck[1:]); cum != 1 {
+	if _, cum, _, _ := decodeAck(opened(t, lastAck)); cum != 1 {
 		t.Errorf("final ack cum = %d, want 1", cum)
 	}
 }
@@ -504,7 +587,7 @@ func TestARQGapProbeAdvertisesHoles(t *testing.T) {
 	defer a.close()
 
 	seg := encodeRel(2, 1, 3, []byte("middle"))
-	a.handleRel("p", nil, seg[1:], func([]byte) bool { return true })
+	a.handleRel("p", nil, seg, func([]byte) bool { return true })
 	if err := waitFor(func() bool {
 		mu.Lock()
 		defer mu.Unlock()
@@ -514,7 +597,7 @@ func TestARQGapProbeAdvertisesHoles(t *testing.T) {
 	}
 	mu.Lock()
 	for i, p := range probes {
-		xfer, cum, bitmap, err := decodeAck(p[1:])
+		xfer, cum, bitmap, err := decodeAck(opened(t, p))
 		if err != nil || xfer != 2 || cum != 0 || bitmap&0b10 == 0 {
 			t.Errorf("probe %d = xfer %d cum %d bitmap %b err %v", i, xfer, cum, bitmap, err)
 		}

@@ -13,7 +13,7 @@ import (
 func FuzzDecodeAck(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 0, 0, 3})
-	f.Add(encodeAck(0xFFFFFFFF, 0xFFFF, 0xFFFFFFFF)[1:])
+	f.Add(opened(f, encodeAck(0xFFFFFFFF, 0xFFFF, 0xFFFFFFFF)))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		xfer, cum, bitmap, err := decodeAck(body)
 		if err != nil {
@@ -23,7 +23,7 @@ func FuzzDecodeAck(f *testing.F) {
 			t.Fatalf("accepted %d-byte ack body", len(body))
 		}
 		back := encodeAck(xfer, cum, bitmap)
-		if back[0] != MsgAck || !bytes.Equal(back[1:], body) {
+		if back[0] != MsgAck || !bytes.Equal(opened(t, back), body) {
 			t.Fatalf("ack round trip: %x -> %x", body, back)
 		}
 	})
@@ -31,8 +31,8 @@ func FuzzDecodeAck(f *testing.F) {
 
 func FuzzDecodeRel(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(encodeRel(7, 0, 1, []byte("inner"))[1:])
-	f.Add(encodeRel(0, 41, 42, nil)[1:])
+	f.Add(opened(f, encodeRel(7, 0, 1, []byte("inner"))))
+	f.Add(opened(f, encodeRel(0, 41, 42, nil)))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		xfer, seq, total, inner, err := decodeRel(body)
 		if err != nil {
@@ -42,7 +42,7 @@ func FuzzDecodeRel(f *testing.F) {
 			t.Fatalf("accepted envelope with seq %d / total %d", seq, total)
 		}
 		back := encodeRel(xfer, seq, total, inner)
-		if back[0] != MsgRel || !bytes.Equal(back[1:], body) {
+		if back[0] != MsgRel || !bytes.Equal(opened(t, back), body) {
 			t.Fatalf("envelope round trip: %x -> %x", body, back)
 		}
 	})

@@ -313,7 +313,7 @@ func (t *Transport) serve(conn *net.UDPConn, ep core.ServerEndpoint, a *arq) {
 			// Unwrap, acknowledge and deduplicate; on first delivery run
 			// the control handler and push its response (single datagram
 			// or a whole chunked configuration) as a reliable transfer.
-			a.handleRel(from.String(), from, body, func(inner []byte) bool {
+			a.handleRel(from.String(), from, buf[:n], func(inner []byte) bool {
 				innerType, innerBody, err := Decode(inner)
 				if err != nil || innerType == MsgFrame || innerType == MsgControl {
 					return true // swallow: never re-deliver garbage
@@ -327,7 +327,7 @@ func (t *Transport) serve(conn *net.UDPConn, ep core.ServerEndpoint, a *arq) {
 				return true
 			})
 		case MsgAck:
-			a.handleAck(from.String(), body)
+			a.handleAck(from.String(), buf[:n])
 		}
 		// Anything else is control that arrived outside a reliable
 		// envelope, or an unknown type: dropped, never answered.
@@ -661,7 +661,7 @@ func (l *Link) readLoop() {
 			// acknowledge. A full control queue refuses delivery, which
 			// withholds the ack — the server retransmits, so nothing
 			// acknowledged is ever shed.
-			l.arq.handleRel("", nil, buf[1:n], func(inner []byte) bool {
+			l.arq.handleRel("", nil, buf[:n], func(inner []byte) bool {
 				msg := append([]byte(nil), inner...)
 				select {
 				case l.control <- msg:
@@ -671,7 +671,7 @@ func (l *Link) readLoop() {
 				}
 			})
 		case MsgAck:
-			l.arq.handleAck("", buf[1:n])
+			l.arq.handleAck("", buf[:n])
 		}
 		// The server only ever sends control inside reliable envelopes;
 		// anything else is dropped.

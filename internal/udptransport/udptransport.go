@@ -79,11 +79,11 @@ const (
 	// MsgRel is the reliable-delivery envelope: a control message wrapped
 	// with a transfer ID and sequence numbers so the ARQ layer can
 	// retransmit it (body: 4-byte transfer, 2-byte seq, 2-byte total,
-	// inner datagram — see arq.go and docs/PROTOCOL.md §5).
+	// inner datagram, 4-byte CRC-32C — see arq.go and docs/PROTOCOL.md §5).
 	MsgRel byte = '+'
 	// MsgAck acknowledges reliable segments: a cumulative ack plus a
 	// 32-bit selective-ack bitmap (body: 4-byte transfer, 2-byte cum,
-	// 4-byte bitmap).
+	// 4-byte bitmap, 4-byte CRC-32C).
 	MsgAck byte = 'A'
 )
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"endbox/internal/packet"
+	"endbox/mbox"
 )
 
 // TestResumeOverUDP drives fast resume over real sockets: the MsgResume /
@@ -36,7 +37,7 @@ func TestResumeOverUDP(t *testing.T) {
 	}
 	defer d.Close()
 
-	spec := ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP}
+	spec := ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(UseCaseNOP)}
 	if _, err := d.AddClient(ctx, "udp-r", spec); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestFacadeAdmissionErrors(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				_, err := d.AddClient(ctx, fmt.Sprintf("storm-%d", i), ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP})
+				_, err := d.AddClient(ctx, fmt.Sprintf("storm-%d", i), ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(UseCaseNOP)})
 				switch {
 				case err == nil:
 					admitted.Add(1)

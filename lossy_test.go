@@ -16,6 +16,7 @@ import (
 	"endbox/internal/idps"
 	"endbox/internal/packet"
 	"endbox/internal/udptransport"
+	"endbox/mbox"
 )
 
 // lossyRetransmit is tuned for test time: tight timers, generous budget.
@@ -50,7 +51,7 @@ func TestLossyDeploymentConfigPublish(t *testing.T) {
 
 	// The whole join sequence — registration, quote, provisioning,
 	// handshake — crosses the lossy wire.
-	cli, err := d.AddClient(ctx, "lossy-laptop", ClientSpec{Mode: ModeSimulation, UseCase: UseCaseFW})
+	cli, err := d.AddClient(ctx, "lossy-laptop", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(UseCaseFW)})
 	if err != nil {
 		t.Fatalf("AddClient over 15%% loss: %v", err)
 	}
@@ -63,14 +64,14 @@ func TestLossyDeploymentConfigPublish(t *testing.T) {
 	}
 
 	// A rule set big enough that the sealed blob spans >= 5 chunks.
-	update := &Update{
+	update := Rollout{
 		Version:      3,
 		GraceSeconds: 60,
-		ClickConfig:  StandardConfig(UseCaseFW),
+		Pipeline:     mbox.Stock(UseCaseFW),
 		RuleSets:     map[string]string{"community": idps.GenerateRuleSet(2000, 7)},
 	}
-	if err := d.Server.PublishUpdate(ctx, update); err != nil {
-		t.Fatalf("PublishUpdate: %v", err)
+	if _, err := d.Rollout(ctx, update); err != nil {
+		t.Fatalf("Rollout: %v", err)
 	}
 	blob, err := d.Server.Configs().Fetch(3)
 	if err != nil {
@@ -128,7 +129,7 @@ func TestLossyDeploymentManyClients(t *testing.T) {
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func(i int) {
-			_, err := d.AddClient(ctx, fmt.Sprintf("lossy-%d", i), ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP})
+			_, err := d.AddClient(ctx, fmt.Sprintf("lossy-%d", i), ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(UseCaseNOP)})
 			errs <- err
 		}(i)
 	}

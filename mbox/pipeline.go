@@ -21,17 +21,9 @@ type Pipeline = click.Pipeline
 type Stage = click.Stage
 
 // UseCase identifies one of the five middlebox functions the paper
-// evaluates (§V-B); Stock reproduces them as pipelines.
+// evaluates (§V-B), named by the endbox.UseCase* constants; Stock
+// reproduces them as pipelines.
 type UseCase = click.UseCase
-
-// The five evaluation use cases.
-const (
-	UseCaseNOP  = click.UseCaseNOP
-	UseCaseLB   = click.UseCaseLB
-	UseCaseFW   = click.UseCaseFW
-	UseCaseIDPS = click.UseCaseIDPS
-	UseCaseDDoS = click.UseCaseDDoS
-)
 
 // Chain builds a pipeline from typed stages in order. Chain() with no
 // stages is the NOP pipeline (FromDevice wired straight to ToDevice).
@@ -43,17 +35,16 @@ func Chain(stages ...Stage) Pipeline { return click.Chain(stages...) }
 func Raw(config string) Pipeline { return click.Raw(config) }
 
 // Stock returns the pipeline reproducing one of the paper's five
-// evaluation middlebox functions — each compiles to exactly
-// endbox.StandardConfig of the same use case. Unknown use cases return
-// the zero Pipeline.
+// evaluation middlebox functions. Unknown use cases return the zero
+// Pipeline, which every entry point refuses with ErrBadPipeline.
 func Stock(u UseCase) Pipeline { return click.StockPipeline(u) }
 
 // Compile emits and fully validates a pipeline against the process
 // registry, with the given rule sets resolvable by IDS stages. It returns
-// the Click configuration text (for endbox.Update.ClickConfig or
-// inspection); errors wrap ErrBadPipeline. AddClient and Rollout run this
-// implicitly — call it directly to validate early or to feed the legacy
-// string-based surfaces.
+// the Click configuration text; errors wrap ErrBadPipeline. AddClient,
+// ResumeClient, Rollout and RolloutCanary run this implicitly — call it
+// directly to validate early, or where the text itself is needed (a
+// standalone client's boot configuration, inspection).
 func Compile(p Pipeline, ruleSets map[string]string) (string, error) {
 	return p.Compile(nil, ruleSets)
 }

@@ -240,11 +240,11 @@ func TestRolloutByID(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	a, err := d.AddClient(ctx, "a", ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP})
+	a, err := d.AddClient(ctx, "a", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(UseCaseNOP)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := d.AddClient(ctx, "b", ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP})
+	b, err := d.AddClient(ctx, "b", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(UseCaseNOP)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,9 +290,9 @@ func TestAddClientBadPipeline(t *testing.T) {
 
 	for name, spec := range map[string]ClientSpec{
 		"empty spec":       {Mode: ModeSimulation},
-		"unknown use case": {Mode: ModeSimulation, UseCase: UseCase(99)},
-		"bad click config": {Mode: ModeSimulation, ClickConfig: "FromDevice -> -> ToDevice;"},
-		"unknown class":    {Mode: ModeSimulation, ClickConfig: "FromDevice -> Frobnicator -> ToDevice;"},
+		"unknown use case": {Mode: ModeSimulation, Pipeline: mbox.Stock(UseCase(99))},
+		"bad click config": {Mode: ModeSimulation, Pipeline: mbox.Raw("FromDevice -> -> ToDevice;")},
+		"unknown class":    {Mode: ModeSimulation, Pipeline: mbox.Raw("FromDevice -> Frobnicator -> ToDevice;")},
 		"bad element args": {Mode: ModeSimulation, Pipeline: mbox.Chain(mbox.Firewall("frobnicate all"))},
 		"unknown rule set": {Mode: ModeSimulation, Pipeline: mbox.Chain(mbox.IDS("no-such-set"))},
 	} {
@@ -301,24 +301,8 @@ func TestAddClientBadPipeline(t *testing.T) {
 		}
 	}
 	// The IDs must be reusable after the typed failures.
-	if _, err := d.AddClient(ctx, "bad-empty spec", ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP}); err != nil {
+	if _, err := d.AddClient(ctx, "bad-empty spec", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(UseCaseNOP)}); err != nil {
 		t.Errorf("ID not reusable after failed validation: %v", err)
-	}
-}
-
-// TestStockPipelineFacadeParity proves each stock mbox pipeline compiles
-// to exactly the legacy StandardConfig string for all five use cases —
-// the contract that makes UseCase/StandardConfig safe deprecated shims.
-func TestStockPipelineFacadeParity(t *testing.T) {
-	rules := CommunityRuleSets()
-	for _, uc := range []UseCase{UseCaseNOP, UseCaseLB, UseCaseFW, UseCaseIDPS, UseCaseDDoS} {
-		cfg, err := mbox.Compile(mbox.Stock(uc), rules)
-		if err != nil {
-			t.Fatalf("Stock(%v): %v", uc, err)
-		}
-		if want := StandardConfig(uc); cfg != want {
-			t.Errorf("Stock(%v) = %q, StandardConfig = %q", uc, cfg, want)
-		}
 	}
 }
 
@@ -435,7 +419,7 @@ func TestBootFetchIgnoresTargetedVersions(t *testing.T) {
 	}
 	defer d.Close()
 	if _, err := d.AddClient(ctx, "canary", ClientSpec{
-		Mode: ModeSimulation, UseCase: UseCaseNOP,
+		Mode: ModeSimulation, Pipeline: mbox.Stock(UseCaseNOP),
 		Labels: map[string]string{"ring": "canary"},
 	}); err != nil {
 		t.Fatal(err)
@@ -484,16 +468,20 @@ func TestKeepaliveReannouncesTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	cli, err := d.AddClient(ctx, "missed", ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP})
+	cli, err := d.AddClient(ctx, "missed", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(UseCaseNOP)})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Publish the targeted update and arm the policy WITHOUT the rollout
 	// ping reaching the client — the "lost announcement" state.
-	u := &Update{
+	fw, err := mbox.Compile(mbox.Stock(UseCaseFW), CommunityRuleSets())
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := &config.Update{
 		Version: 1, GraceSeconds: 60,
-		ClickConfig: StandardConfig(UseCaseFW), RuleSets: CommunityRuleSets(),
+		ClickConfig: fw, RuleSets: CommunityRuleSets(),
 	}
 	blob, err := config.Seal(u, d.CA.SignConfig, nil)
 	if err != nil {

@@ -40,16 +40,6 @@ func WithTransport(t Transport) Option {
 	return func(o *core.DeploymentOptions) { o.Transport = t }
 }
 
-// WithShards sets the server session-table shard count. Session lookups
-// and per-client statistics contend only within a shard, so frames from
-// many clients proceed in parallel (the paper's §V scalability argument
-// applied to the server's remaining work). The count rounds up to a power
-// of two; the default (0) matches the CPU count; 1 reproduces the
-// monolithic single-lock table as a baseline.
-func WithShards(n int) Option {
-	return func(o *core.DeploymentOptions) { o.Shards = n }
-}
-
 // WithUDPWorkers pipelines the UDP server's datagram ingress across n
 // workers when the deployment's transport supports it (the in-process
 // transport ignores it). Each client is pinned to one worker by the same
@@ -149,14 +139,4 @@ func WithFailurePolicy(p FailurePolicy) Option {
 // sessions are evicted (RevocationObserver.SessionRevoked fires).
 func WithPolicy(p *Policy) Option {
 	return func(o *core.DeploymentOptions) { o.Policy = p }
-}
-
-// WithSealToMeasurement opts targeted rollouts into measurement-sealed
-// update blobs: when a rollout's selector names exactly one measurement,
-// the update is encrypted under that build's CA-derived key, making it
-// cryptographically unopenable by every other build — clients of other
-// builds fail with ErrSealedToOtherBuild and keep their last-known-good
-// configuration.
-func WithSealToMeasurement() Option {
-	return func(o *core.DeploymentOptions) { o.SealToMeasurement = true }
 }

@@ -46,7 +46,7 @@ func TestMeasurementDeniedOverTransports(t *testing.T) {
 		}
 		defer d.Close()
 
-		spec := ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP, BuildVersion: "9.9.9-rogue"}
+		spec := ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(UseCaseNOP), BuildVersion: "9.9.9-rogue"}
 		if _, err := d.AddClient(context.Background(), "rogue", spec); !errors.Is(err, ErrMeasurementDenied) {
 			t.Fatalf("unapproved build admitted: err = %v, want ErrMeasurementDenied", err)
 		}
@@ -70,7 +70,6 @@ func TestFleetVersioningE2E(t *testing.T) {
 		pol := NewPolicy()
 		opts = append(opts,
 			WithPolicy(pol),
-			WithSealToMeasurement(),
 			WithObserver(ObserverFuncs{
 				OnRevoked: func(clientID, build string) {
 					mu.Lock()
@@ -93,7 +92,7 @@ func TestFleetVersioningE2E(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		oldSpec := ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP}
+		oldSpec := ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(UseCaseNOP)}
 		newSpec := oldSpec
 		newSpec.BuildVersion = "2.0.0"
 		cliOld, err := d.AddClient(ctx, "e2e-v1", oldSpec)
