@@ -189,7 +189,7 @@ func ServerClickContext(deviceSetup func() error) *click.Context {
 			if name != "community" {
 				return "", fmt.Errorf("bench: unknown rule set %q", name)
 			}
-			return idps.GenerateRuleSet(idps.CommunityRuleCount, 2018), nil
+			return idps.CommunityRules(), nil
 		},
 		DeviceSetup: deviceSetup,
 	}

@@ -148,7 +148,7 @@ func Calibrate() (*CostModel, error) {
 		40000, 5201, make([]byte, SimPacketSize-packet.IPv4HeaderLen-packet.UDPHeaderLen))
 	ctx := &click.Context{
 		RuleSet: func(string) (string, error) {
-			return idps.GenerateRuleSet(idps.CommunityRuleCount, 2018), nil
+			return idps.CommunityRules(), nil
 		},
 	}
 	for _, uc := range click.AllUseCases {

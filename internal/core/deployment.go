@@ -201,7 +201,7 @@ type Deployment struct {
 // community set under the name the standard configurations reference.
 func CommunityRuleSets() map[string]string {
 	return map[string]string{
-		"community": idps.GenerateRuleSet(idps.CommunityRuleCount, 2018),
+		"community": idps.CommunityRules(),
 	}
 }
 

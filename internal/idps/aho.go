@@ -12,7 +12,9 @@ package idps
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"math/bits"
+	"slices"
 )
 
 // Match reports one pattern occurrence found by the automaton.
@@ -28,16 +30,20 @@ type Match struct {
 // linear in the input regardless of pattern count, which is why the IDPS
 // is CPU-bound rather than rule-bound (paper §V-E).
 type Automaton struct {
-	// Dense goto table: states × 256 next-state entries. States are
-	// created on demand during construction; state 0 is the root.
-	next [][256]int32
-	fail []int32
-	// out lists pattern IDs terminating at each state.
-	out [][]int32
-	// patLen maps pattern ID to its length (for match offsets).
-	patLen map[int]int
-	// caseFold indicates the automaton matches ASCII case-insensitively.
-	caseFold bool
+	// class maps an input byte to its column. Bytes that occur in no
+	// pattern share one column, and with case folding an upper-case ASCII
+	// letter shares its lower-case letter's, so a scanned byte costs one
+	// lookup and a row is as wide as the patterns' alphabet, not 256.
+	class [256]uint8
+	// next is the dense goto table, states<<shift entries: the row of
+	// state s starts at s<<shift and holds, per class, the next state's
+	// row offset (rows are padded to a power of two). State 0 is the root.
+	next  []int32
+	shift uint
+	// Pattern IDs terminating at state s, its own before those inherited
+	// over failure links, are outIDs[outOff[s]:outOff[s+1]].
+	outOff []int32
+	outIDs []int32
 }
 
 // Pattern is a byte string to search for, tagged with a caller-chosen ID.
@@ -55,28 +61,118 @@ type Pattern struct {
 // patterns are verified against the original input by the caller layer
 // (engine.go); for the automaton layer this simply means NoCase is
 // per-automaton. For exact semantics per pattern, build two automata.
+//
+// Construction allocates a fixed number of arrays, none per state: the
+// table is sized up front for the largest trie the patterns can form.
 func NewAutomaton(patterns []Pattern, caseFold bool) (*Automaton, error) {
-	a := &Automaton{
-		next:     make([][256]int32, 1),
-		fail:     make([]int32, 1),
-		out:      make([][]int32, 1),
-		patLen:   make(map[int]int, len(patterns)),
-		caseFold: caseFold,
-	}
-	for i := range a.next[0] {
-		a.next[0][i] = -1
-	}
-	for _, p := range patterns {
+	a := &Automaton{}
+	maxStates := 1
+	ids := make([]int, len(patterns))
+	var used [256]bool
+	for i, p := range patterns {
 		if len(p.Bytes) == 0 {
 			return nil, fmt.Errorf("idps: empty pattern (id %d)", p.ID)
 		}
-		if _, dup := a.patLen[p.ID]; dup {
-			return nil, fmt.Errorf("idps: duplicate pattern id %d", p.ID)
+		ids[i] = p.ID
+		maxStates += len(p.Bytes)
+		for _, b := range p.Bytes {
+			used[fold(b, caseFold)] = true
 		}
-		a.patLen[p.ID] = len(p.Bytes)
-		a.insert(p)
 	}
-	a.buildFailureLinks()
+	slices.Sort(ids)
+	for i := 1; i < len(ids); i++ {
+		if ids[i] == ids[i-1] {
+			return nil, fmt.Errorf("idps: duplicate pattern id %d", ids[i])
+		}
+	}
+
+	// One class per distinct pattern byte, plus one shared by every byte
+	// no pattern contains (if there is such a byte): at most 256.
+	classes, other := 0, -1
+	for b := 255; b >= 0; b-- {
+		switch f := fold(byte(b), caseFold); {
+		case int(f) != b:
+			a.class[b] = a.class[f] // its lower-case letter, assigned already
+		case used[b]:
+			a.class[b] = uint8(classes)
+			classes++
+		default:
+			if other < 0 {
+				other = classes
+				classes++
+			}
+			a.class[b] = uint8(other)
+		}
+	}
+	a.shift = uint(bits.Len(uint(classes - 1)))
+	if maxStates > math.MaxInt32>>a.shift {
+		return nil, fmt.Errorf("idps: %d pattern bytes overflow the automaton table", maxStates-1)
+	}
+
+	// The trie goes straight into the table, which holds states as row
+	// offsets (state<<shift) so a step is one add and one load. 0 means
+	// "no edge" until the failure pass, because the root is never a child.
+	a.next = make([]int32, maxStates<<a.shift)
+	term := make([]int32, len(patterns)) // pattern index -> final state
+	n := 1
+	for i, p := range patterns {
+		row := int32(0)
+		for _, b := range p.Bytes {
+			edge := &a.next[row+int32(a.class[b])]
+			if *edge == 0 {
+				*edge = int32(n << a.shift)
+				n++
+			}
+			row = *edge
+		}
+		term[i] = row >> a.shift
+	}
+	a.next = a.next[:n<<a.shift]
+	scratch := make([]int32, 3*n)
+	fail, queue, pos := scratch[:n], scratch[n:n:2*n], scratch[2*n:]
+
+	// Breadth-first over the class columns: a state's failure state is
+	// shallower, so its row is already complete and missing edges copy
+	// from it, collapsing goto-with-failure into O(1) per-byte stepping.
+	// outOff[s+1] counts s's outputs, its own plus its failure state's.
+	a.outOff = make([]int32, n+1)
+	for _, s := range term {
+		a.outOff[s+1]++
+	}
+	for _, row := range a.next[:classes] {
+		if row != 0 {
+			queue = append(queue, row)
+		}
+	}
+	for head := 0; head < len(queue); head++ {
+		row := a.next[queue[head]:]
+		failRow := a.next[fail[queue[head]>>a.shift]:]
+		for c := 0; c < classes; c++ {
+			child := row[c]
+			if child == 0 {
+				row[c] = failRow[c]
+				continue
+			}
+			fail[child>>a.shift] = failRow[c]
+			a.outOff[child>>a.shift+1] += a.outOff[failRow[c]>>a.shift+1]
+			queue = append(queue, child)
+		}
+	}
+	for s := 0; s < n; s++ {
+		if a.outOff[s+1] += a.outOff[s]; a.outOff[s+1] < 0 {
+			return nil, fmt.Errorf("idps: more than %d pattern outputs", math.MaxInt32)
+		}
+	}
+	a.outIDs = make([]int32, a.outOff[n])
+	copy(pos, a.outOff)
+	for i, s := range term {
+		a.outIDs[pos[s]] = int32(patterns[i].ID)
+		pos[s]++
+	}
+	for _, row := range queue {
+		s, f := row>>a.shift, fail[row>>a.shift]>>a.shift
+		copy(a.outIDs[pos[s]:], a.outIDs[a.outOff[f]:a.outOff[f+1]])
+	}
 	return a, nil
 }
 
@@ -87,67 +183,18 @@ func fold(b byte, enabled bool) byte {
 	return b
 }
 
-func (a *Automaton) insert(p Pattern) {
-	state := int32(0)
-	for _, raw := range p.Bytes {
-		b := fold(raw, a.caseFold)
-		if a.next[state][b] < 0 {
-			a.next = append(a.next, [256]int32{})
-			newState := int32(len(a.next) - 1)
-			for i := range a.next[newState] {
-				a.next[newState][i] = -1
-			}
-			a.fail = append(a.fail, 0)
-			a.out = append(a.out, nil)
-			a.next[state][b] = newState
-		}
-		state = a.next[state][b]
-	}
-	a.out[state] = append(a.out[state], int32(p.ID))
-}
-
-// buildFailureLinks completes the automaton with BFS-computed failure
-// transitions, converting the trie into a DFA (goto-with-failure collapsed
-// into the dense table for O(1) per-byte stepping).
-func (a *Automaton) buildFailureLinks() {
-	queue := make([]int32, 0, len(a.next))
-	for b := 0; b < 256; b++ {
-		s := a.next[0][b]
-		if s < 0 {
-			a.next[0][b] = 0
-			continue
-		}
-		a.fail[s] = 0
-		queue = append(queue, s)
-	}
-	for len(queue) > 0 {
-		state := queue[0]
-		queue = queue[1:]
-		for b := 0; b < 256; b++ {
-			child := a.next[state][b]
-			if child < 0 {
-				a.next[state][b] = a.next[a.fail[state]][b]
-				continue
-			}
-			a.fail[child] = a.next[a.fail[state]][b]
-			a.out[child] = append(a.out[child], a.out[a.fail[child]]...)
-			queue = append(queue, child)
-		}
-	}
-}
-
 // States returns the number of automaton states, a proxy for its memory
 // footprint (relevant to EPC pressure inside the enclave).
-func (a *Automaton) States() int { return len(a.next) }
+func (a *Automaton) States() int { return len(a.outOff) - 1 }
 
 // Scan finds all pattern occurrences in data. Matches are appended to dst
 // (which may be nil) and returned, letting the data path reuse one slice.
 func (a *Automaton) Scan(data []byte, dst []Match) []Match {
-	state := int32(0)
-	for i := 0; i < len(data); i++ {
-		state = a.next[state][fold(data[i], a.caseFold)]
-		if outs := a.out[state]; len(outs) > 0 {
-			for _, id := range outs {
+	row := int32(0)
+	for i, b := range data {
+		row = a.next[row+int32(a.class[b])]
+		if s := row >> a.shift; a.outOff[s] != a.outOff[s+1] {
+			for _, id := range a.outIDs[a.outOff[s]:a.outOff[s+1]] {
 				dst = append(dst, Match{PatternID: int(id), End: i + 1})
 			}
 		}
@@ -158,10 +205,10 @@ func (a *Automaton) Scan(data []byte, dst []Match) []Match {
 // Contains reports whether any pattern occurs in data, without collecting
 // matches — the fast path for drop/accept decisions.
 func (a *Automaton) Contains(data []byte) bool {
-	state := int32(0)
-	for i := 0; i < len(data); i++ {
-		state = a.next[state][fold(data[i], a.caseFold)]
-		if len(a.out[state]) > 0 {
+	row := int32(0)
+	for _, b := range data {
+		row = a.next[row+int32(a.class[b])]
+		if s := row >> a.shift; a.outOff[s] != a.outOff[s+1] {
 			return true
 		}
 	}
@@ -170,18 +217,10 @@ func (a *Automaton) Contains(data []byte) bool {
 
 // MatchedIDs returns the distinct pattern IDs occurring in data, sorted.
 func (a *Automaton) MatchedIDs(data []byte) []int {
-	matches := a.Scan(data, nil)
-	if len(matches) == 0 {
-		return nil
+	var ids []int
+	for _, m := range a.Scan(data, nil) {
+		ids = append(ids, m.PatternID)
 	}
-	set := make(map[int]struct{}, len(matches))
-	for _, m := range matches {
-		set[m.PatternID] = struct{}{}
-	}
-	ids := make([]int, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }

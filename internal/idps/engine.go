@@ -3,6 +3,7 @@ package idps
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"endbox/internal/packet"
@@ -63,7 +64,8 @@ type Engine struct {
 // treated as immutable after compilation.
 func NewEngine(rules []*Rule) (*Engine, error) {
 	e := &Engine{rules: append([]*Rule(nil), rules...)}
-	var patterns []Pattern
+	patterns := make([]Pattern, 0, len(rules))
+	e.patOwner = make([]int, 0, len(rules))
 	for idx, r := range e.rules {
 		if r.Action == ActionPass {
 			e.passRules = append(e.passRules, r)
@@ -138,15 +140,16 @@ func (e *Engine) EvaluatePayload(ip *packet.IPv4, payload []byte) Result {
 	}
 
 	if e.auto != nil && len(payload) > 0 {
-		seen := make(map[int]bool)
-		for _, id := range e.auto.MatchedIDs(payload) {
-			ruleIdx := e.patOwner[id]
-			if seen[ruleIdx] {
+		// Each content rule owns one pattern and pattern IDs ascend with
+		// rule index, so sorted distinct IDs visit candidates in rule order.
+		var buf [16]Match
+		matches := e.auto.Scan(payload, buf[:0])
+		slices.SortFunc(matches, func(a, b Match) int { return a.PatternID - b.PatternID })
+		for i, m := range matches {
+			if i > 0 && m.PatternID == matches[i-1].PatternID {
 				continue
 			}
-			seen[ruleIdx] = true
-			r := e.rules[ruleIdx]
-			if ruleMatches(r, ip, flow, payload) {
+			if r := e.rules[e.patOwner[m.PatternID]]; ruleMatches(r, ip, flow, payload) {
 				record(r)
 			}
 		}
@@ -162,21 +165,25 @@ func (e *Engine) EvaluatePayload(ip *packet.IPv4, payload []byte) Result {
 // inspect: past the TCP/UDP header for those protocols, the raw IP payload
 // otherwise.
 func transportPayload(ip *packet.IPv4) []byte {
+	seg := ip.Payload
 	switch ip.Protocol {
 	case packet.ProtoTCP:
-		t, err := packet.ParseTCP(ip.Payload)
-		if err != nil {
+		if len(seg) < packet.TCPHeaderLen {
 			return nil
 		}
-		return t.Payload
+		dataOff := int(seg[12]>>4) * 4
+		if dataOff < packet.TCPHeaderLen || dataOff > len(seg) {
+			return nil
+		}
+		return seg[dataOff:]
 	case packet.ProtoUDP:
-		u, err := packet.ParseUDP(ip.Payload)
+		u, err := packet.ParseUDP(seg) // inlined: the header stays on the stack
 		if err != nil {
 			return nil
 		}
 		return u.Payload
 	default:
-		return ip.Payload
+		return seg
 	}
 }
 

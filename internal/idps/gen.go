@@ -13,6 +13,13 @@ import (
 // rule set").
 const CommunityRuleCount = 377
 
+// CommunityRules returns the text of the community-scale rule set every
+// standard configuration references: CommunityRuleCount rules at
+// GeneratedSeed. The text is a constant, generated on first use.
+var CommunityRules = sync.OnceValue(func() string {
+	return GenerateRuleSet(CommunityRuleCount, GeneratedSeed)
+})
+
 // GenerateRuleSet deterministically produces n Snort-syntax rules of the
 // same shape as the community subset: content-bearing alert/drop rules over
 // web, mail and generic TCP/UDP traffic. The generated content strings use
@@ -87,8 +94,9 @@ const GeneratedPrefix = "generated:"
 const GeneratedSeed = 2018
 
 // MaxGeneratedRules bounds provider-name rule counts, keeping a typo
-// like "generated:10000000" from stalling an enclave building a
-// gigabyte automaton.
+// like "generated:10000000" from stalling an enclave: at the limit the
+// automaton is already 1.25 million states of 64 four-byte columns,
+// 305 MiB — well past the 128 MB EPC (DESIGN.md, "IDPS").
 const MaxGeneratedRules = 100000
 
 // GeneratedSetName returns the provider name for n rules at the default
@@ -136,7 +144,7 @@ func ResolveGenerated(name string) (text string, ok bool, err error) {
 // generated rules compiled and ready (the equivalent of the paper's
 // IDSMatcher configuration).
 func CommunityEngine() (*Engine, error) {
-	rules, err := ParseRules(GenerateRuleSet(CommunityRuleCount, 2018))
+	rules, err := ParseRules(CommunityRules())
 	if err != nil {
 		return nil, err
 	}

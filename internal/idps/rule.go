@@ -155,9 +155,16 @@ func ParseRule(line string) (*Rule, error) {
 	if open < 0 || !strings.HasSuffix(line, ")") {
 		return nil, fmt.Errorf("idps: missing option block in %q", line)
 	}
-	header := strings.Fields(line[:open])
-	if len(header) != 7 {
-		return nil, fmt.Errorf("idps: header needs 7 fields, got %d in %q", len(header), line)
+	var header [7]string
+	fields := 0
+	for f := range strings.FieldsSeq(line[:open]) {
+		if fields < len(header) {
+			header[fields] = f
+		}
+		fields++
+	}
+	if fields != len(header) {
+		return nil, fmt.Errorf("idps: header needs 7 fields, got %d in %q", fields, line)
 	}
 
 	r := &Rule{Rev: 1}
@@ -285,9 +292,17 @@ func parsePortSpec(s string) (PortSpec, error) {
 
 // parseOptions handles the parenthesised option list. Options are
 // semicolon-terminated; values may be quoted strings containing |hex|
-// escapes.
+// escapes. Options are sliced out of s in place and the rule's content
+// patterns share one buffer, so a rule costs a fixed few allocations.
 func (r *Rule) parseOptions(s string) error {
-	for _, opt := range splitOptions(s) {
+	var pats []byte // every content's bytes, decoded from disjoint parts of s
+	if n := strings.Count(s, "content:"); n > 0 {
+		r.Contents = make([]ContentMatch, 0, n)
+		pats = make([]byte, 0, len(s))
+	}
+	for rest := s; rest != ""; {
+		var opt string
+		opt, rest = cutOption(rest)
 		key, val := opt, ""
 		if i := strings.IndexByte(opt, ':'); i >= 0 {
 			key, val = strings.TrimSpace(opt[:i]), strings.TrimSpace(opt[i+1:])
@@ -296,11 +311,12 @@ func (r *Rule) parseOptions(s string) error {
 		case "msg":
 			r.Msg = unquote(val)
 		case "content":
-			pat, err := parseContent(unquote(val))
-			if err != nil {
+			start := len(pats)
+			var err error
+			if pats, err = appendContent(pats, unquote(val)); err != nil {
 				return err
 			}
-			r.Contents = append(r.Contents, ContentMatch{Bytes: pat})
+			r.Contents = append(r.Contents, ContentMatch{Bytes: pats[start:len(pats):len(pats)]})
 		case "nocase":
 			if len(r.Contents) == 0 {
 				return errors.New("idps: nocase before any content")
@@ -348,14 +364,10 @@ func (r *Rule) parseOptions(s string) error {
 	return nil
 }
 
-// splitOptions splits on semicolons that are outside quoted strings.
-func splitOptions(s string) []string {
-	var (
-		parts  []string
-		start  int
-		inStr  bool
-		escape bool
-	)
+// cutOption returns the first option of s, trimmed, and what follows its
+// terminating semicolon; semicolons inside quoted strings do not terminate.
+func cutOption(s string) (opt, rest string) {
+	inStr, escape := false, false
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		switch {
@@ -366,16 +378,10 @@ func splitOptions(s string) []string {
 		case c == '"':
 			inStr = !inStr
 		case c == ';' && !inStr:
-			if p := strings.TrimSpace(s[start:i]); p != "" {
-				parts = append(parts, p)
-			}
-			start = i + 1
+			return strings.TrimSpace(s[:i]), s[i+1:]
 		}
 	}
-	if p := strings.TrimSpace(s[start:]); p != "" {
-		parts = append(parts, p)
-	}
-	return parts
+	return strings.TrimSpace(s), ""
 }
 
 func unquote(s string) string {
@@ -385,12 +391,13 @@ func unquote(s string) string {
 	return strings.ReplaceAll(s, `\"`, `"`)
 }
 
-// parseContent decodes a Snort content string with |48 65 78| hex escapes.
-func parseContent(s string) ([]byte, error) {
-	var out []byte
+// appendContent decodes a Snort content string with |48 65 78| hex escapes
+// onto dst.
+func appendContent(dst []byte, s string) ([]byte, error) {
+	start := len(dst)
 	for i := 0; i < len(s); {
 		if s[i] != '|' {
-			out = append(out, s[i])
+			dst = append(dst, s[i])
 			i++
 			continue
 		}
@@ -398,31 +405,33 @@ func parseContent(s string) ([]byte, error) {
 		if end < 0 {
 			return nil, fmt.Errorf("idps: unterminated hex escape in %q", s)
 		}
-		for _, hx := range strings.Fields(s[i+1 : i+1+end]) {
+		for hx := range strings.FieldsSeq(s[i+1 : i+1+end]) {
 			b, err := strconv.ParseUint(hx, 16, 8)
 			if err != nil {
 				return nil, fmt.Errorf("idps: bad hex byte %q in %q", hx, s)
 			}
-			out = append(out, byte(b))
+			dst = append(dst, byte(b))
 		}
 		i += end + 2
 	}
-	if len(out) == 0 {
+	if len(dst) == start {
 		return nil, fmt.Errorf("idps: empty content in %q", s)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // ParseRules parses a rule file, skipping comments and blank lines.
 func ParseRules(text string) ([]*Rule, error) {
 	var rules []*Rule
-	for lineNo, line := range strings.Split(text, "\n") {
+	lineNo := 0
+	for line := range strings.SplitSeq(text, "\n") {
+		lineNo++
 		r, err := ParseRule(line)
 		if errors.Is(err, ErrNotARule) {
 			continue
 		}
 		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
+			return nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}
 		rules = append(rules, r)
 	}

@@ -218,8 +218,12 @@ type xmit struct {
 
 // recvState is one incoming reliable transfer being reassembled.
 type recvState struct {
-	total  uint16
-	got    []bool
+	total uint16
+	got   []bool
+	// busy marks segments whose delivery is in progress outside the lock:
+	// a second copy arriving meanwhile is dropped like a lost one, or two
+	// serve workers would both deliver it.
+	busy   []bool
 	count  int
 	probes int
 	delay  time.Duration
@@ -537,7 +541,7 @@ func (a *arq) handleRel(peerKey string, addr *net.UDPAddr, datagram []byte, deli
 			a.mu.Unlock()
 			return
 		}
-		r = &recvState{total: total, got: make([]bool, total), delay: a.cfg.AckDelay}
+		r = &recvState{total: total, got: make([]bool, total), busy: make([]bool, total), delay: a.cfg.AckDelay}
 		p.recvs[xfer] = r
 	}
 	if r.total != total || int(seq) >= len(r.got) {
@@ -555,6 +559,12 @@ func (a *arq) handleRel(peerKey string, addr *net.UDPAddr, datagram []byte, deli
 		a.sendAck(to, ack)
 		return
 	}
+	if r.busy[seq] {
+		a.stats.DupSegments++
+		a.mu.Unlock()
+		return
+	}
+	r.busy[seq] = true
 	a.mu.Unlock()
 
 	// Delivery happens outside the lock (the server handler may send —
@@ -562,6 +572,7 @@ func (a *arq) handleRel(peerKey string, addr *net.UDPAddr, datagram []byte, deli
 	accepted := deliver(inner)
 
 	a.mu.Lock()
+	r.busy[seq] = false
 	if a.closed {
 		a.mu.Unlock()
 		return
