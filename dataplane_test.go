@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"endbox/internal/core"
 	"endbox/internal/packet"
@@ -319,14 +320,13 @@ func TestLonePacketErrorIdentity(t *testing.T) {
 }
 
 // TestBatchedBurstAllocs pins the burst path of the shipped data plane
-// (sharded table, one ecall per burst): a 32-packet burst costs three
-// allocations in total — the ecall boxes — not one per packet, stateless
-// or with flow tracking in the pipeline.
+// (sharded table, one byte-typed ecall per burst): a 32-packet burst
+// allocates nothing, stateless or with flow tracking in the pipeline.
 func TestBatchedBurstAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	const burst, want = 32, 3
+	const burst, want = 32, 0
 	for _, tc := range []struct {
 		name     string
 		pipeline Pipeline
@@ -355,6 +355,95 @@ func TestBatchedBurstAllocs(t *testing.T) {
 			})
 			if got > want {
 				t.Errorf("%d-packet burst = %.1f allocs, want <= %d", burst, got, want)
+			}
+		})
+	}
+}
+
+// TestUDPEchoRoundTripAllocs pins a data packet's whole round trip — app,
+// enclave, socket, server ingress, managed-network echo, socket, client
+// ingress, app — at the allocation floor. AllocsPerRun counts the whole
+// process, so the server's serve loop and pool workers and the link's
+// reader and dispatcher are included. Over loopback UDP one allocation per
+// operation is tolerated for the runtime (netpoller, scheduler); in-process
+// with a hardware-mode enclave inspecting a packet no rule matches, none.
+func TestUDPEchoRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const burst = 32
+	inside, outside := packet.AddrFrom(10, 8, 0, 2), packet.AddrFrom(10, 16, 0, 9)
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		spec ClientSpec
+		want float64
+	}{
+		{
+			"udp-firewall",
+			[]Option{WithTransport(NewUDPTransport("127.0.0.1:0")), WithUDPWorkers(2)},
+			ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(UseCaseFW)},
+			1,
+		},
+		{
+			"in-process-hardware-inspect",
+			nil,
+			ClientSpec{Mode: ModeHardware, Pipeline: mbox.Chain(mbox.ConnTrack(mbox.ConnTrackOptions{Loose: true}), mbox.IDS("community"))},
+			0,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			echoed := make(chan struct{}, 2*burst) // an operation has at most burst echoes in flight
+			obs := ObserverFuncs{OnReceived: func(string, []byte) { echoed <- struct{}{} }}
+			d, err := New(append(tc.opts, WithEchoNetwork(), WithObserver(obs))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			cli, err := d.AddClient(context.Background(), "echo", tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch := make([][]byte, burst)
+			for i := range batch {
+				batch[i] = packet.NewUDP(inside, outside, uint16(40000+i), 5201, make([]byte, 64-packet.IPv4HeaderLen-packet.UDPHeaderLen))
+			}
+			// One timer for the whole test: arming one per wait would
+			// allocate inside the measured operation.
+			lost := time.NewTimer(30 * time.Second)
+			defer lost.Stop()
+			await := func(n int) {
+				for ; n > 0; n-- {
+					select {
+					case <-echoed:
+					case <-lost.C:
+						t.Fatal("echo lost")
+					}
+				}
+			}
+			for _, op := range []struct {
+				name string
+				run  func()
+			}{
+				{"lone", func() {
+					if err := cli.SendPacket(batch[0]); err != nil {
+						t.Fatal(err)
+					}
+					await(1)
+				}},
+				{"burst", func() {
+					if n, err := cli.SendPackets(batch); err != nil || n != burst {
+						t.Fatalf("SendPackets = %d, %v", n, err)
+					}
+					await(burst)
+				}},
+			} {
+				op.run() // warm the buffer pools and the flow table
+				if got := testing.AllocsPerRun(200, op.run); got > tc.want {
+					t.Errorf("%s round trip = %.2f allocs, want <= %.0f", op.name, got, tc.want)
+				} else {
+					t.Logf("%s round trip = %.2f allocs", op.name, got)
+				}
 			}
 		})
 	}

@@ -338,15 +338,6 @@ func (c *Client) dataPlane() vpn.DataPlane {
 	return &naivePlane{c: c}
 }
 
-// ecallBytes runs an ecall whose argument and result are byte slabs.
-func (c *Client) ecallBytes(name string, arg []byte) ([]byte, error) {
-	res, err := c.enclave.Ecall(name, arg)
-	if err != nil {
-		return nil, err
-	}
-	return res.([]byte), nil
-}
-
 // batchedPlane is EndBox's optimised data path: one ecall per slab in each
 // direction (paper §IV-A "Enclave transitions") — 2 transitions and zero
 // per-packet allocations at the boundary, whether the slab holds a burst
@@ -354,11 +345,11 @@ func (c *Client) ecallBytes(name string, arg []byte) ([]byte, error) {
 type batchedPlane struct{ c *Client }
 
 func (p *batchedPlane) SealSlab(slab []byte) ([]byte, error) {
-	return p.c.ecallBytes(ecallProcessOutBatch, slab)
+	return p.c.enclave.EcallBytes(ecallProcessOutBatch, slab)
 }
 
 func (p *batchedPlane) OpenSlab(slab []byte) ([]byte, error) {
-	return p.c.ecallBytes(ecallProcessInBatch, slab)
+	return p.c.enclave.EcallBytes(ecallProcessInBatch, slab)
 }
 
 // SlabBudget bounds slabs by what one enclave crossing may carry.
@@ -373,17 +364,17 @@ type naivePlane struct{ c *Client }
 func (p *naivePlane) SealSlab(slab []byte) ([]byte, error) {
 	return vpn.MapSlab(slab, func(payload []byte) ([]byte, error) {
 		if len(payload) > 0 && payload[0] == vpn.FrameData {
-			out, err := p.c.ecallBytes(ecallNaiveClick, payload)
+			out, err := p.c.enclave.EcallBytes(ecallNaiveClick, payload)
 			if err != nil {
 				return nil, err
 			}
 			payload = out
 		}
-		payload, err := p.c.ecallBytes(ecallNaiveCrypt, payload)
+		payload, err := p.c.enclave.EcallBytes(ecallNaiveCrypt, payload)
 		if err != nil {
 			return nil, err
 		}
-		return p.c.ecallBytes(ecallNaiveMAC, payload)
+		return p.c.enclave.EcallBytes(ecallNaiveMAC, payload)
 	})
 }
 
@@ -391,10 +382,10 @@ func (p *naivePlane) SealSlab(slab []byte) ([]byte, error) {
 // through the batched ecall as a slab of one and unpacks its one result.
 func (p *naivePlane) OpenSlab(slab []byte) ([]byte, error) {
 	return vpn.MapSlab(slab, func(frame []byte) ([]byte, error) {
-		if _, err := p.c.ecallBytes(ecallNaiveCrypt, frame); err != nil {
+		if _, err := p.c.enclave.EcallBytes(ecallNaiveCrypt, frame); err != nil {
 			return nil, err
 		}
-		one, err := p.c.ecallBytes(ecallProcessInBatch, vpn.AppendSlabEntry(nil, frame))
+		one, err := p.c.enclave.EcallBytes(ecallProcessInBatch, vpn.AppendSlabEntry(nil, frame))
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"crypto/ed25519"
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"slices"
@@ -578,16 +579,31 @@ func (d *Deployment) deliver(clientID string, ip []byte) {
 		}
 	}
 	if d.opts.EchoNetwork {
-		echo := p.Clone()
-		echo.Src, echo.Dst = p.Dst, p.Src
-		if echo.Protocol == packet.ProtoICMP {
-			if icmp, err := packet.ParseICMP(echo.Payload); err == nil && icmp.Type == packet.ICMPEchoRequest {
-				icmp.Type = packet.ICMPEchoReply
-				echo.Payload = icmp.Marshal()
-			}
-		}
-		_ = d.Server.VPN().SendTo(clientID, echo.Marshal(), false)
+		echo := echoOf(p)
+		_ = d.Server.VPN().SendTo(clientID, echo, false) // SendTo copies
+		wire.PutBuffer(echo)
 	}
+}
+
+// echoOf is the managed network's answer to p: the same packet with the
+// addresses swapped and the header checksum re-serialised, an ICMP echo
+// request turned into its reply. It is written into a pooled buffer the
+// caller returns with wire.PutBuffer; the bytes p was parsed from are
+// only read (PacketDelivered observers hold them).
+func echoOf(p packet.IPv4) []byte {
+	p.Src, p.Dst = p.Dst, p.Src
+	echo := wire.GetBuffer(p.Len())
+	p.MarshalTo(echo)
+	if p.Protocol == packet.ProtoICMP {
+		// Only a well-formed request (valid ICMP checksum) is answered.
+		icmp := echo[p.HeaderLen():]
+		if len(icmp) >= packet.ICMPHeaderLen && icmp[0] == packet.ICMPEchoRequest && packet.Checksum(icmp) == 0 {
+			icmp[0] = packet.ICMPEchoReply
+			icmp[2], icmp[3] = 0, 0
+			binary.BigEndian.PutUint16(icmp[2:4], packet.Checksum(icmp))
+		}
+	}
+	return echo
 }
 
 // AddClient creates, attests, enrols and connects a client through the

@@ -59,7 +59,8 @@ func ClientImageVersion(caPub ed25519.PublicKey, version string) sgx.Image {
 // run per packet (the paper's hot interface is four — §IV-B: "ENDBOX
 // defines only 4 ecalls that are executed during normal operation" — ours
 // folds the per-packet pair into the slab pair, a lone packet being a slab
-// of one); the rest are initialisation, management and statistics.
+// of one) and are byte-typed at the boundary, as are the naive per-stage
+// calls; the rest are initialisation, management and statistics.
 const (
 	ecallKeygen          = "keygen"
 	ecallProvision       = "provision"
@@ -474,11 +475,7 @@ func registerEcalls(e *sgx.Enclave, caPub ed25519.PublicKey, alert func(click.Al
 	// are both amortised to (almost) zero (the transition-amortisation the
 	// paper's single-ecall design enables, taken one step further for
 	// send-heavy workloads).
-	if err := reg(ecallProcessOutBatch, func(_ *sgx.Ctx, arg any) (any, error) {
-		slab, ok := arg.([]byte)
-		if !ok {
-			return nil, fmt.Errorf("core: bad outbound batch")
-		}
+	if err := e.RegisterBytesEcall(ecallProcessOutBatch, func(_ *sgx.Ctx, slab []byte) ([]byte, error) {
 		n, err := vpn.SlabCount(slab)
 		if err != nil {
 			return nil, err
@@ -500,11 +497,7 @@ func registerEcalls(e *sgx.Enclave, caPub ed25519.PublicKey, alert func(click.Al
 	// Ingress: one boundary crossing opens a received slab — the mirror of
 	// ecallProcessOutBatch. Frames are decrypted in place inside the request
 	// slab; opened payloads are packed into the pooled result slab.
-	if err := reg(ecallProcessInBatch, func(_ *sgx.Ctx, arg any) (any, error) {
-		slab, ok := arg.([]byte)
-		if !ok {
-			return nil, fmt.Errorf("core: bad inbound batch")
-		}
+	if err := e.RegisterBytesEcall(ecallProcessInBatch, func(_ *sgx.Ctx, slab []byte) ([]byte, error) {
 		return vpn.MapSlab(slab, st.openInbound)
 	}); err != nil {
 		return err
@@ -624,11 +617,7 @@ func registerEcalls(e *sgx.Enclave, caPub ed25519.PublicKey, alert func(click.Al
 	// Naive per-stage ecalls for the enclave-transition ablation
 	// (paper §IV-A / §V-G(1)): Click, encryption and MAC each cross the
 	// boundary separately, the design EndBox's batching replaced.
-	if err := reg(ecallNaiveClick, func(_ *sgx.Ctx, arg any) (any, error) {
-		payload, ok := arg.([]byte)
-		if !ok {
-			return nil, fmt.Errorf("core: bad payload")
-		}
+	if err := e.RegisterBytesEcall(ecallNaiveClick, func(_ *sgx.Ctx, payload []byte) ([]byte, error) {
 		out, err := st.clickOutbound(payload)
 		if err != nil {
 			return nil, err
@@ -642,11 +631,7 @@ func registerEcalls(e *sgx.Enclave, caPub ed25519.PublicKey, alert func(click.Al
 	}); err != nil {
 		return err
 	}
-	if err := reg(ecallNaiveCrypt, func(_ *sgx.Ctx, arg any) (any, error) {
-		payload, ok := arg.([]byte)
-		if !ok {
-			return nil, fmt.Errorf("core: bad payload")
-		}
+	if err := e.RegisterBytesEcall(ecallNaiveCrypt, func(_ *sgx.Ctx, payload []byte) ([]byte, error) {
 		// The split design encrypts here and MACs in a third crossing; the
 		// wire codec fuses both, so the MAC call below re-enters with the
 		// sealed frame.
@@ -657,11 +642,7 @@ func registerEcalls(e *sgx.Enclave, caPub ed25519.PublicKey, alert func(click.Al
 	}); err != nil {
 		return err
 	}
-	if err := reg(ecallNaiveMAC, func(_ *sgx.Ctx, arg any) (any, error) {
-		payload, ok := arg.([]byte)
-		if !ok {
-			return nil, fmt.Errorf("core: bad payload")
-		}
+	if err := e.RegisterBytesEcall(ecallNaiveMAC, func(_ *sgx.Ctx, payload []byte) ([]byte, error) {
 		if st.session == nil {
 			return nil, ErrNoSession
 		}

@@ -70,9 +70,9 @@ func TestLonePacketAllocs(t *testing.T) {
 	}
 }
 
-// The lone-packet allocation counts measured at the last commit that had
-// per-packet ecalls: the ecall argument and result boxes plus one.
+// The lone-packet allocation floor: the slab ecalls are byte-typed, so a
+// crossing boxes nothing, and every buffer on the way is pooled.
 const (
-	loneSendAllocs   = 3
-	loneHandleAllocs = 3
+	loneSendAllocs   = 0
+	loneHandleAllocs = 0
 )

@@ -17,6 +17,19 @@ import (
 // boundary sanity checks of paper §IV-B.
 type EcallFunc func(ctx *Ctx, arg any) (any, error)
 
+// BytesEcallFunc is an ecall whose argument and result are byte slabs — the
+// shape of the per-packet interface, and the only one a boundary that is a
+// real process or hardware edge can carry. Nothing is boxed on the way in or
+// out, so a crossing allocates nothing.
+type BytesEcallFunc func(ctx *Ctx, arg []byte) ([]byte, error)
+
+// ecall is one entry of the interface table: exactly one of the two handler
+// shapes is set, by the registration call that installed it.
+type ecall struct {
+	fn      EcallFunc
+	bytesFn BytesEcallFunc
+}
+
 // OcallFunc is untrusted code an ecall may invoke (e.g. reading an encrypted
 // configuration file from disk). Its results are untrusted: enclave code
 // must validate them, and the runtime applies the registered validator to
@@ -78,11 +91,12 @@ type Enclave struct {
 	cfg     Config
 	meas    Measurement
 	sealGCM cipher.AEAD
+	ctx     Ctx // the one Ctx every handler receives; points back at this enclave
 
 	mu         sync.Mutex
 	initDone   bool
 	destroyed  bool
-	ecalls     map[string]EcallFunc
+	ecalls     map[string]ecall
 	ocalls     map[string]OcallFunc
 	validators map[string]OcallValidator
 
@@ -132,10 +146,11 @@ func (c *CPU) CreateEnclave(img Image, cfg Config) (*Enclave, error) {
 		cfg:        cfg,
 		meas:       meas,
 		sealGCM:    gcm,
-		ecalls:     make(map[string]EcallFunc),
+		ecalls:     make(map[string]ecall),
 		ocalls:     make(map[string]OcallFunc),
 		validators: make(map[string]OcallValidator),
 	}
+	e.ctx.e = e
 
 	// Reserve EPC. In hardware mode, allocation beyond the machine limit is
 	// still possible (EPC paging) but every byte beyond the limit counts as
@@ -174,6 +189,17 @@ func (e *Enclave) Mode() Mode { return e.cfg.Mode }
 // is only allowed before Init, matching the static ecall table an SGX
 // binary declares in its EDL file.
 func (e *Enclave) RegisterEcall(name string, fn EcallFunc) error {
+	return e.register(name, ecall{fn: fn})
+}
+
+// RegisterBytesEcall installs a byte-typed ecall, reachable through
+// EcallBytes only. Both kinds share one table, so a name can be registered
+// once.
+func (e *Enclave) RegisterBytesEcall(name string, fn BytesEcallFunc) error {
+	return e.register(name, ecall{bytesFn: fn})
+}
+
+func (e *Enclave) register(name string, h ecall) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	switch {
@@ -181,13 +207,13 @@ func (e *Enclave) RegisterEcall(name string, fn EcallFunc) error {
 		return ErrDestroyed
 	case e.initDone:
 		return fmt.Errorf("sgx: cannot register ecall %q after init", name)
-	case fn == nil:
+	case h.fn == nil && h.bytesFn == nil:
 		return fmt.Errorf("sgx: nil handler for ecall %q", name)
 	}
 	if _, dup := e.ecalls[name]; dup {
 		return fmt.Errorf("sgx: duplicate ecall %q", name)
 	}
-	e.ecalls[name] = fn
+	e.ecalls[name] = h
 	return nil
 }
 
@@ -247,39 +273,74 @@ func (e *Enclave) Destroy() {
 
 // Ecall crosses into the enclave. It validates the interface (known ecall,
 // initialised, not destroyed, bounded argument size) and charges the
-// transition cost in hardware mode.
+// transition cost in hardware mode. A name registered byte-typed is not
+// part of this interface: it fails with ErrUnknownEcall.
 func (e *Enclave) Ecall(name string, arg any) (any, error) {
-	e.mu.Lock()
-	if e.destroyed {
-		e.mu.Unlock()
-		return nil, ErrDestroyed
-	}
-	if !e.initDone {
-		e.mu.Unlock()
-		return nil, ErrNotInitialized
-	}
-	fn, ok := e.ecalls[name]
-	e.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownEcall, name)
-	}
-	if err := e.checkBoundarySize(arg); err != nil {
-		return nil, fmt.Errorf("ecall %q: %w", name, err)
-	}
-
-	e.ecallCount.Add(1)
-	e.execMu.Lock()
-	e.crossBoundary() // EENTER
-	res, err := fn(&Ctx{e: e}, arg)
-	e.crossBoundary() // EEXIT
-	e.execMu.Unlock()
+	h, err := e.enter(name, false, boundaryLen(arg))
 	if err != nil {
 		return nil, err
 	}
-	if err := e.checkBoundarySize(res); err != nil {
-		return nil, fmt.Errorf("ecall %q result: %w", name, err)
+	res, err := h.fn(&e.ctx, arg)
+	if err := e.exit(name, boundaryLen(res), err); err != nil {
+		return nil, err
 	}
 	return res, nil
+}
+
+// EcallBytes is Ecall for a byte-typed ecall: the same checks, lock,
+// transition cost and counters (enter and exit are shared), without boxing
+// the slabs into interface values.
+func (e *Enclave) EcallBytes(name string, arg []byte) ([]byte, error) {
+	h, err := e.enter(name, true, len(arg))
+	if err != nil {
+		return nil, err
+	}
+	res, err := h.bytesFn(&e.ctx, arg)
+	if err := e.exit(name, len(res), err); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// enter is the one way into the enclave: it validates the interface, counts
+// the ecall and returns the handler with the execution lock held and EENTER
+// charged. Every successful enter must be paired with exit.
+func (e *Enclave) enter(name string, bytesTyped bool, argLen int) (ecall, error) {
+	e.mu.Lock()
+	if e.destroyed {
+		e.mu.Unlock()
+		return ecall{}, ErrDestroyed
+	}
+	if !e.initDone {
+		e.mu.Unlock()
+		return ecall{}, ErrNotInitialized
+	}
+	h, ok := e.ecalls[name]
+	e.mu.Unlock()
+	if !ok || bytesTyped != (h.bytesFn != nil) {
+		return ecall{}, fmt.Errorf("%w: %q", ErrUnknownEcall, name)
+	}
+	if err := e.checkBoundarySize(argLen); err != nil {
+		return ecall{}, fmt.Errorf("ecall %q: %w", name, err)
+	}
+	e.ecallCount.Add(1)
+	e.execMu.Lock()
+	e.crossBoundary() // EENTER
+	return h, nil
+}
+
+// exit is the one way out: it charges EEXIT, releases the execution lock
+// and bounds the result. err is the handler's own error, passed through.
+func (e *Enclave) exit(name string, resLen int, err error) error {
+	e.crossBoundary() // EEXIT
+	e.execMu.Unlock()
+	if err != nil {
+		return err
+	}
+	if err := e.checkBoundarySize(resLen); err != nil {
+		return fmt.Errorf("ecall %q result: %w", name, err)
+	}
+	return nil
 }
 
 // Ocall leaves the enclave from within an ecall handler. Results pass the
@@ -293,7 +354,7 @@ func (ctx *Ctx) Ocall(name string, arg any) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownOcall, name)
 	}
-	if err := e.checkBoundarySize(arg); err != nil {
+	if err := e.checkBoundarySize(boundaryLen(arg)); err != nil {
 		return nil, fmt.Errorf("ocall %q: %w", name, err)
 	}
 
@@ -304,7 +365,7 @@ func (ctx *Ctx) Ocall(name string, arg any) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := e.checkBoundarySize(res); err != nil {
+	if err := e.checkBoundarySize(boundaryLen(res)); err != nil {
 		return nil, fmt.Errorf("ocall %q result: %w", name, err)
 	}
 	if validate != nil {
@@ -319,20 +380,22 @@ func (ctx *Ctx) Ocall(name string, arg any) (any, error) {
 // attestation reports).
 func (ctx *Ctx) Measurement() Measurement { return ctx.e.meas }
 
-// checkBoundarySize bounds byte payloads crossing the boundary. Non-byte
-// arguments represent in-process handles and pass freely (the real system
+// boundaryLen is the byte length of a value crossing the boundary. Non-byte
+// values represent in-process handles and count as empty (the real system
 // passes pointers that the checked wrappers validate; here type safety
 // already rules out wild pointers).
-func (e *Enclave) checkBoundarySize(v any) error {
-	var n int
+func boundaryLen(v any) int {
 	switch b := v.(type) {
 	case []byte:
-		n = len(b)
+		return len(b)
 	case string:
-		n = len(b)
-	default:
-		return nil
+		return len(b)
 	}
+	return 0
+}
+
+// checkBoundarySize bounds a byte payload crossing the boundary.
+func (e *Enclave) checkBoundarySize(n int) error {
 	if n > e.cfg.MaxBoundaryBytes {
 		return fmt.Errorf("%w: %d > %d bytes", ErrArgTooLarge, n, e.cfg.MaxBoundaryBytes)
 	}

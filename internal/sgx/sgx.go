@@ -11,6 +11,18 @@
 // calibrated CPU cost per transition — mirroring the paper's "EndBox SGX"
 // configuration — while simulation mode does not, mirroring "EndBox SIM"
 // (Intel SGX SDK simulation mode, paper §IV).
+//
+// The ecall table holds two handler shapes. A boxed ecall (RegisterEcall,
+// Ecall) passes any Go value, which suits the cold interface: attestation,
+// handshake, configuration, statistics. A byte-typed ecall
+// (RegisterBytesEcall, EcallBytes) passes a []byte each way and nothing
+// else — what a real enclave edge, or an out-of-process backend, can carry
+// — and so a crossing allocates nothing; the per-packet slab ecalls are
+// byte-typed. A name belongs to exactly one shape and is reachable only
+// through that shape's entry (the other reports ErrUnknownEcall). Both
+// entries run through the same enter and exit: destroyed, initialised,
+// known name, argument and result within MaxBoundaryBytes, the execution
+// lock, the transition cost and the Ecalls/Transitions counters exist once.
 package sgx
 
 import (

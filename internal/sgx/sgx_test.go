@@ -220,6 +220,134 @@ func TestStatsCounting(t *testing.T) {
 	}
 }
 
+// TestEcallBytesSharesEcallChecks drives the boxed and the byte-typed entry
+// through the same sequence: both must refuse and count identically, because
+// both run through enter/exit.
+func TestEcallBytesSharesEcallChecks(t *testing.T) {
+	const limit = 64
+	grow := make([]byte, limit+1)
+	for _, entry := range []struct {
+		name     string
+		register func(e *Enclave, name string, result []byte) error
+		call     func(e *Enclave, name string, arg []byte) ([]byte, error)
+	}{
+		{"Ecall", func(e *Enclave, name string, result []byte) error {
+			return e.RegisterEcall(name, func(_ *Ctx, arg any) (any, error) {
+				if result != nil {
+					return result, nil
+				}
+				return arg, nil
+			})
+		}, func(e *Enclave, name string, arg []byte) ([]byte, error) {
+			res, err := e.Ecall(name, arg)
+			out, _ := res.([]byte)
+			return out, err
+		}},
+		{"EcallBytes", func(e *Enclave, name string, result []byte) error {
+			return e.RegisterBytesEcall(name, func(_ *Ctx, arg []byte) ([]byte, error) {
+				if result != nil {
+					return result, nil
+				}
+				return arg, nil
+			})
+		}, (*Enclave).EcallBytes},
+	} {
+		t.Run(entry.name, func(t *testing.T) {
+			e, err := NewCPU("shared").CreateEnclave(testImage(), Config{Mode: ModeSimulation, MaxBoundaryBytes: limit})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Destroy()
+			if err := entry.register(e, "echo", nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := entry.register(e, "grow", grow); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := entry.call(e, "echo", nil); !errors.Is(err, ErrNotInitialized) {
+				t.Errorf("before Init: err = %v, want ErrNotInitialized", err)
+			}
+			if err := e.Init(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := entry.call(e, "missing", nil); !errors.Is(err, ErrUnknownEcall) {
+				t.Errorf("unknown name: err = %v, want ErrUnknownEcall", err)
+			}
+			if _, err := entry.call(e, "echo", make([]byte, limit+1)); !errors.Is(err, ErrArgTooLarge) {
+				t.Errorf("oversized argument: err = %v, want ErrArgTooLarge", err)
+			}
+			if s := e.Stats(); s.Ecalls != 0 || s.Transitions != 0 {
+				t.Errorf("refused calls crossed the boundary: %+v", s)
+			}
+			if _, err := entry.call(e, "grow", nil); !errors.Is(err, ErrArgTooLarge) {
+				t.Errorf("oversized result: err = %v, want ErrArgTooLarge", err)
+			}
+			before := e.Stats()
+			got, err := entry.call(e, "echo", make([]byte, limit))
+			if err != nil || len(got) != limit {
+				t.Errorf("boundary-sized call = %d bytes, %v", len(got), err)
+			}
+			after := e.Stats()
+			if after.Ecalls-before.Ecalls != 1 || after.Transitions-before.Transitions != 2 {
+				t.Errorf("one call moved Ecalls by %d and Transitions by %d, want 1 and 2",
+					after.Ecalls-before.Ecalls, after.Transitions-before.Transitions)
+			}
+			e.Destroy()
+			if _, err := entry.call(e, "echo", nil); !errors.Is(err, ErrDestroyed) {
+				t.Errorf("after Destroy: err = %v, want ErrDestroyed", err)
+			}
+		})
+	}
+}
+
+// TestEcallKindsShareOneTable: a name belongs to one kind. It cannot be
+// registered under both, and the other kind's entry does not know it.
+func TestEcallKindsShareOneTable(t *testing.T) {
+	_, e := newTestEnclave(t, ModeSimulation)
+	boxed := func(_ *Ctx, arg any) (any, error) { return arg, nil }
+	typed := func(_ *Ctx, arg []byte) ([]byte, error) { return arg, nil }
+	if err := e.RegisterBytesEcall("nil", nil); err == nil {
+		t.Error("nil byte-typed handler accepted")
+	}
+	if err := e.RegisterEcall("boxed", boxed); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RegisterBytesEcall("typed", typed); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RegisterBytesEcall("boxed", typed); err == nil {
+		t.Error("byte-typed registration reused a boxed ecall's name")
+	}
+	if err := e.RegisterEcall("typed", boxed); err == nil {
+		t.Error("boxed registration reused a byte-typed ecall's name")
+	}
+	if err := e.RegisterBytesEcall("typed", typed); err == nil {
+		t.Error("duplicate byte-typed ecall accepted")
+	}
+	if err := e.Init(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RegisterBytesEcall("late", typed); err == nil {
+		t.Error("RegisterBytesEcall after Init should fail")
+	}
+	if _, err := e.Ecall("typed", []byte("x")); !errors.Is(err, ErrUnknownEcall) {
+		t.Errorf("Ecall on a byte-typed name: err = %v, want ErrUnknownEcall", err)
+	}
+	if _, err := e.EcallBytes("boxed", []byte("x")); !errors.Is(err, ErrUnknownEcall) {
+		t.Errorf("EcallBytes on a boxed name: err = %v, want ErrUnknownEcall", err)
+	}
+	if s := e.Stats(); s.Ecalls != 0 || s.Transitions != 0 {
+		t.Errorf("cross-kind calls crossed the boundary: %+v", s)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := e.EcallBytes("typed", nil); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("EcallBytes = %.1f allocs per crossing, want 0", allocs)
+	}
+}
+
 // enclaveWithSealing wires up a seal/unseal ecall pair for the tests below.
 func enclaveWithSealing(t *testing.T, cpu *CPU, img Image) *Enclave {
 	t.Helper()

@@ -33,7 +33,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/rand/v2"
-	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -171,22 +171,22 @@ type ARQStats struct {
 
 // arq is one endpoint's ARQ state over a datagram socket, shared by all
 // peers reached through that socket (the server) or dedicated to one (a
-// client link, which uses the empty peer key and a nil address).
+// client link, whose connected socket needs no address: its one peer is the
+// zero AddrPort). A peer is keyed by the address its datagrams come from.
 type arq struct {
 	cfg      RetransmitConfig
-	transmit func(to *net.UDPAddr, datagram []byte) error
+	transmit func(to netip.AddrPort, datagram []byte) error
 	logf     func(format string, args ...any)
 
 	mu        sync.Mutex
 	closed    bool
-	peers     map[string]*arqPeer
+	peers     map[netip.AddrPort]*arqPeer
 	lastSweep time.Time
 	stats     ARQStats
 }
 
 // arqPeer is the per-remote-endpoint state.
 type arqPeer struct {
-	addr     *net.UDPAddr // last known address (nil on connected sockets)
 	lastSeen time.Time
 	nextXfer uint32
 	sends    map[uint32]*xmit
@@ -198,7 +198,7 @@ type arqPeer struct {
 
 // xmit is one outgoing reliable transfer.
 type xmit struct {
-	peerKey  string
+	peer     netip.AddrPort
 	xfer     uint32
 	segs     [][]byte // framed datagrams; nil once acknowledged
 	base     int      // lowest unacknowledged seq
@@ -232,7 +232,7 @@ type recvState struct {
 
 // newARQ creates the layer. transmit is the raw (post-impairment) datagram
 // send; logf may be nil.
-func newARQ(cfg RetransmitConfig, transmit func(*net.UDPAddr, []byte) error, logf func(string, ...any)) *arq {
+func newARQ(cfg RetransmitConfig, transmit func(netip.AddrPort, []byte) error, logf func(string, ...any)) *arq {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
@@ -240,11 +240,11 @@ func newARQ(cfg RetransmitConfig, transmit func(*net.UDPAddr, []byte) error, log
 		cfg:      cfg.WithDefaults(),
 		transmit: transmit,
 		logf:     logf,
-		peers:    make(map[string]*arqPeer),
+		peers:    make(map[netip.AddrPort]*arqPeer),
 	}
 }
 
-func (a *arq) peer(key string, addr *net.UDPAddr) *arqPeer {
+func (a *arq) peer(key netip.AddrPort) *arqPeer {
 	p := a.peers[key]
 	if p == nil {
 		if len(a.peers) >= peerSweepThreshold {
@@ -263,9 +263,6 @@ func (a *arq) peer(key string, addr *net.UDPAddr) *arqPeer {
 		a.peers[key] = p
 	}
 	p.lastSeen = time.Now()
-	if addr != nil {
-		p.addr = addr // follow NAT rebinds: acks go to the latest address
-	}
 	return p
 }
 
@@ -293,7 +290,7 @@ func (a *arq) sweepPeersLocked() {
 // (one per segment) and returns a handle the caller may cancel or watch
 // for failure. The inners are copied into framed segments; callers may
 // reuse their buffers immediately.
-func (a *arq) send(peerKey string, addr *net.UDPAddr, inners [][]byte) (*xmit, error) {
+func (a *arq) send(peer netip.AddrPort, inners [][]byte) (*xmit, error) {
 	if len(inners) == 0 || len(inners) > maxSegments {
 		return nil, fmt.Errorf("udptransport: reliable transfer needs 1..%d segments, got %d", maxSegments, len(inners))
 	}
@@ -307,10 +304,10 @@ func (a *arq) send(peerKey string, addr *net.UDPAddr, inners [][]byte) (*xmit, e
 		a.mu.Unlock()
 		return nil, ErrLinkClosed
 	}
-	p := a.peer(peerKey, addr)
+	p := a.peer(peer)
 	p.nextXfer++
 	x := &xmit{
-		peerKey: peerKey,
+		peer:    peer,
 		xfer:    p.nextXfer,
 		segs:    make([][]byte, len(inners)),
 		pending: len(inners),
@@ -325,15 +322,14 @@ func (a *arq) send(peerKey string, addr *net.UDPAddr, inners [][]byte) (*xmit, e
 	x.next = min(len(x.segs), a.cfg.Window)
 	burst := make([][]byte, x.next)
 	copy(burst, x.segs[:x.next])
-	to := p.addr
 	a.stats.TransfersSent++
 	a.stats.SegmentsSent += uint64(x.next)
 	x.timer = time.AfterFunc(x.rto, func() { a.onTimeout(x) })
 	a.mu.Unlock()
 
 	for _, seg := range burst {
-		if err := a.transmit(to, seg); err != nil {
-			a.logf("udptransport: reliable send to %s: %v", peerKey, err)
+		if err := a.transmit(peer, seg); err != nil {
+			a.logf("udptransport: reliable send to %s: %v", peer, err)
 		}
 	}
 	return x, nil
@@ -347,7 +343,7 @@ func (a *arq) onTimeout(x *xmit) {
 		a.mu.Unlock()
 		return
 	}
-	p := a.peers[x.peerKey]
+	p := a.peers[x.peer]
 	if p == nil || p.sends[x.xfer] != x {
 		a.mu.Unlock()
 		return
@@ -359,7 +355,7 @@ func (a *arq) onTimeout(x *xmit) {
 		a.stats.TransfersFail++
 		a.mu.Unlock()
 		x.failed <- fmt.Errorf("%w (transfer %d, %d segments unacknowledged)", ErrRetryBudget, x.xfer, x.pending)
-		a.logf("udptransport: transfer %d to %q abandoned after %d retries", x.xfer, x.peerKey, a.cfg.MaxRetries)
+		a.logf("udptransport: transfer %d to %q abandoned after %d retries", x.xfer, x.peer, a.cfg.MaxRetries)
 		return
 	}
 	var resend [][]byte
@@ -374,12 +370,11 @@ func (a *arq) onTimeout(x *xmit) {
 		x.rto = maxRTO
 	}
 	x.timer.Reset(x.rto)
-	to := p.addr
 	a.mu.Unlock()
 
 	for _, seg := range resend {
-		if err := a.transmit(to, seg); err != nil {
-			a.logf("udptransport: retransmit to %q: %v", x.peerKey, err)
+		if err := a.transmit(x.peer, seg); err != nil {
+			a.logf("udptransport: retransmit to %q: %v", x.peer, err)
 		}
 	}
 }
@@ -400,7 +395,7 @@ func (a *arq) verify(datagram []byte) ([]byte, bool) {
 // window, fast-retransmit advertised holes, and open room for unsent
 // segments. A corrupted ack is dropped — it must not acknowledge segments
 // that never arrived.
-func (a *arq) handleAck(peerKey string, datagram []byte) {
+func (a *arq) handleAck(peer netip.AddrPort, datagram []byte) {
 	body, ok := a.verify(datagram)
 	if !ok {
 		return
@@ -414,7 +409,7 @@ func (a *arq) handleAck(peerKey string, datagram []byte) {
 		a.mu.Unlock()
 		return
 	}
-	p := a.peers[peerKey]
+	p := a.peers[peer]
 	if p == nil {
 		a.mu.Unlock()
 		return
@@ -487,17 +482,16 @@ func (a *arq) handleAck(peerKey string, datagram []byte) {
 		x.rto = a.cfg.Timeout
 		x.timer.Reset(x.rto)
 	}
-	to := p.addr
 	a.mu.Unlock()
 
 	for _, seg := range resend {
-		if err := a.transmit(to, seg); err != nil {
-			a.logf("udptransport: fast retransmit to %q: %v", peerKey, err)
+		if err := a.transmit(peer, seg); err != nil {
+			a.logf("udptransport: fast retransmit to %q: %v", peer, err)
 		}
 	}
 	for _, seg := range fresh {
-		if err := a.transmit(to, seg); err != nil {
-			a.logf("udptransport: reliable send to %q: %v", peerKey, err)
+		if err := a.transmit(peer, seg); err != nil {
+			a.logf("udptransport: reliable send to %q: %v", peer, err)
 		}
 	}
 }
@@ -508,7 +502,7 @@ func (a *arq) handleAck(peerKey string, datagram []byte) {
 // refused delivery is treated as loss (not acknowledged) so the sender
 // retries later. The inner slice aliases datagram and is lent to deliver
 // for the duration of the call only.
-func (a *arq) handleRel(peerKey string, addr *net.UDPAddr, datagram []byte, deliver func(inner []byte) bool) {
+func (a *arq) handleRel(peer netip.AddrPort, datagram []byte, deliver func(inner []byte) bool) {
 	body, ok := a.verify(datagram)
 	if !ok {
 		return
@@ -522,16 +516,15 @@ func (a *arq) handleRel(peerKey string, addr *net.UDPAddr, datagram []byte, deli
 		a.mu.Unlock()
 		return
 	}
-	p := a.peer(peerKey, addr)
+	p := a.peer(peer)
 	for i := 0; i < p.doneLen; i++ {
 		if p.done[i] == xfer {
 			// A retransmit of a transfer we completed: re-ack so the
 			// sender can finish, but deliver nothing twice.
 			a.stats.DupSegments++
 			a.stats.AcksSent++
-			to := p.addr
 			a.mu.Unlock()
-			a.sendAck(to, encodeAck(xfer, total, 0))
+			a.sendAck(peer, encodeAck(xfer, total, 0))
 			return
 		}
 	}
@@ -554,9 +547,8 @@ func (a *arq) handleRel(peerKey string, addr *net.UDPAddr, datagram []byte, deli
 		a.stats.DupSegments++
 		ack := r.ack(xfer)
 		a.stats.AcksSent++
-		to := p.addr
 		a.mu.Unlock()
-		a.sendAck(to, ack)
+		a.sendAck(peer, ack)
 		return
 	}
 	if r.busy[seq] {
@@ -577,7 +569,7 @@ func (a *arq) handleRel(peerKey string, addr *net.UDPAddr, datagram []byte, deli
 		a.mu.Unlock()
 		return
 	}
-	p = a.peers[peerKey]
+	p = a.peers[peer]
 	if p == nil {
 		a.mu.Unlock()
 		return
@@ -592,7 +584,7 @@ func (a *arq) handleRel(peerKey string, addr *net.UDPAddr, datagram []byte, deli
 		// segment was lost so the retransmit redelivers it. Arm the gap
 		// probe so this half-open transfer still self-expires through
 		// the probe budget if the sender gives up before redelivering.
-		a.armGapProbe(p, peerKey, xfer, r)
+		a.armGapProbe(peer, xfer, r)
 		a.mu.Unlock()
 		return
 	}
@@ -603,7 +595,6 @@ func (a *arq) handleRel(peerKey string, addr *net.UDPAddr, datagram []byte, deli
 	complete := r.count == int(r.total)
 	ack := r.ack(xfer)
 	a.stats.AcksSent++
-	to := p.addr
 	if complete {
 		if r.timer != nil {
 			r.timer.Stop()
@@ -618,10 +609,10 @@ func (a *arq) handleRel(peerKey string, addr *net.UDPAddr, datagram []byte, deli
 		// inflated backed-off delay.
 		r.probes = 0
 		r.delay = a.cfg.AckDelay
-		a.armGapProbe(p, peerKey, xfer, r)
+		a.armGapProbe(peer, xfer, r)
 	}
 	a.mu.Unlock()
-	a.sendAck(to, ack)
+	a.sendAck(peer, ack)
 }
 
 // ack builds the transfer's current cumulative + selective acknowledgment.
@@ -652,24 +643,24 @@ func (p *arqPeer) rememberDone(xfer uint32) {
 
 // armGapProbe (re)schedules the receiver's hole advertisement for an
 // incomplete transfer. Callers hold a.mu.
-func (a *arq) armGapProbe(p *arqPeer, peerKey string, xfer uint32, r *recvState) {
+func (a *arq) armGapProbe(peer netip.AddrPort, xfer uint32, r *recvState) {
 	if r.timer != nil {
 		r.timer.Stop()
 	}
-	r.timer = time.AfterFunc(r.delay, func() { a.onGapProbe(peerKey, xfer) })
+	r.timer = time.AfterFunc(r.delay, func() { a.onGapProbe(peer, xfer) })
 }
 
 // onGapProbe fires when an incomplete transfer has been silent for the
 // ack delay: re-send the current ack (advertising the holes) so the
 // sender retransmits exactly the missing segments, with its own backoff
 // and budget so abandoned transfers do not probe forever.
-func (a *arq) onGapProbe(peerKey string, xfer uint32) {
+func (a *arq) onGapProbe(peer netip.AddrPort, xfer uint32) {
 	a.mu.Lock()
 	if a.closed {
 		a.mu.Unlock()
 		return
 	}
-	p := a.peers[peerKey]
+	p := a.peers[peer]
 	if p == nil {
 		a.mu.Unlock()
 		return
@@ -687,7 +678,7 @@ func (a *arq) onGapProbe(peerKey string, xfer uint32) {
 		}
 		delete(p.recvs, xfer)
 		a.mu.Unlock()
-		a.logf("udptransport: incoming transfer %d from %q abandoned with %d/%d segments", xfer, peerKey, r.count, r.total)
+		a.logf("udptransport: incoming transfer %d from %q abandoned with %d/%d segments", xfer, peer, r.count, r.total)
 		return
 	}
 	ack := r.ack(xfer)
@@ -697,13 +688,12 @@ func (a *arq) onGapProbe(peerKey string, xfer uint32) {
 	if r.delay > maxRTO {
 		r.delay = maxRTO
 	}
-	r.timer = time.AfterFunc(r.delay, func() { a.onGapProbe(peerKey, xfer) })
-	to := p.addr
+	r.timer = time.AfterFunc(r.delay, func() { a.onGapProbe(peer, xfer) })
 	a.mu.Unlock()
-	a.sendAck(to, ack)
+	a.sendAck(peer, ack)
 }
 
-func (a *arq) sendAck(to *net.UDPAddr, ack []byte) {
+func (a *arq) sendAck(to netip.AddrPort, ack []byte) {
 	if err := a.transmit(to, ack); err != nil {
 		a.logf("udptransport: ack: %v", err)
 	}
@@ -722,7 +712,7 @@ func (a *arq) cancel(x *xmit) {
 	}
 	x.finished = true
 	x.timer.Stop()
-	if p := a.peers[x.peerKey]; p != nil {
+	if p := a.peers[x.peer]; p != nil {
 		delete(p.sends, x.xfer)
 	}
 	a.mu.Unlock()
@@ -750,7 +740,7 @@ func (a *arq) close() {
 			}
 		}
 	}
-	a.peers = make(map[string]*arqPeer)
+	a.peers = make(map[netip.AddrPort]*arqPeer)
 	a.mu.Unlock()
 	for _, x := range failed {
 		select {

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"net"
+	"net/netip"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +13,9 @@ import (
 
 	"endbox/internal/netsim"
 )
+
+// testPeer is the peer key the unit tests file every transfer under.
+var testPeer = netip.MustParseAddrPort("192.0.2.1:4242")
 
 // fastARQ is the tuning the unit tests run with: real timers, but fast.
 func fastARQ() RetransmitConfig {
@@ -115,22 +118,22 @@ func newARQPair(cfg RetransmitConfig, aFilter, bFilter SendFilter, deliverA, del
 	}
 	aTx := mkTransmit(aFilter, &p.bRecv)
 	bTx := mkTransmit(bFilter, &p.aRecv)
-	p.a = newARQ(cfg, func(_ *net.UDPAddr, d []byte) error { return aTx(d) }, nil)
-	p.b = newARQ(cfg, func(_ *net.UDPAddr, d []byte) error { return bTx(d) }, nil)
+	p.a = newARQ(cfg, func(_ netip.AddrPort, d []byte) error { return aTx(d) }, nil)
+	p.b = newARQ(cfg, func(_ netip.AddrPort, d []byte) error { return bTx(d) }, nil)
 	p.aRecv = func(datagram []byte) {
 		switch datagram[0] {
 		case MsgRel:
-			p.a.handleRel("peer", nil, datagram, deliverA)
+			p.a.handleRel(testPeer, datagram, deliverA)
 		case MsgAck:
-			p.a.handleAck("peer", datagram)
+			p.a.handleAck(testPeer, datagram)
 		}
 	}
 	p.bRecv = func(datagram []byte) {
 		switch datagram[0] {
 		case MsgRel:
-			p.b.handleRel("peer", nil, datagram, deliverB)
+			p.b.handleRel(testPeer, datagram, deliverB)
 		case MsgAck:
-			p.b.handleAck("peer", datagram)
+			p.b.handleAck(testPeer, datagram)
 		}
 	}
 	return p
@@ -159,7 +162,7 @@ func TestARQTransferPerfectWire(t *testing.T) {
 	for i := range inners {
 		inners[i] = []byte(fmt.Sprintf("segment-%02d", i))
 	}
-	x, err := pair.a.send("peer", nil, inners)
+	x, err := pair.a.send(testPeer, inners)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +214,7 @@ func TestARQRestartedSenderSamePeerKey(t *testing.T) {
 
 	send := func(msg string) {
 		t.Helper()
-		if _, err := pair.a.send("peer", nil, [][]byte{[]byte(msg)}); err != nil {
+		if _, err := pair.a.send(testPeer, [][]byte{[]byte(msg)}); err != nil {
 			t.Fatal(err)
 		}
 		if err := waitFor(func() bool {
@@ -279,7 +282,7 @@ func TestARQCorruptedFirstCopies(t *testing.T) {
 		})
 	defer pair.close()
 
-	x, err := pair.a.send("peer", nil, inners)
+	x, err := pair.a.send(testPeer, inners)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +341,7 @@ func TestARQTransferSurvivesLoss(t *testing.T) {
 	for i := range inners {
 		inners[i] = []byte(fmt.Sprintf("lossy-segment-%03d", i))
 	}
-	x, err := pair.a.send("peer", nil, inners)
+	x, err := pair.a.send(testPeer, inners)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +388,7 @@ func TestARQBudgetExhaustion(t *testing.T) {
 		func([]byte) bool { return true })
 	defer pair.close()
 
-	x, err := pair.a.send("peer", nil, [][]byte{[]byte("doomed")})
+	x, err := pair.a.send(testPeer, [][]byte{[]byte("doomed")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +415,7 @@ func TestARQCancelStopsTimers(t *testing.T) {
 		func([]byte) bool { return true })
 	defer pair.close()
 
-	x, err := pair.a.send("peer", nil, [][]byte{[]byte("cancelled")})
+	x, err := pair.a.send(testPeer, [][]byte{[]byte("cancelled")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +438,7 @@ func TestARQCloseFailsPending(t *testing.T) {
 		func([]byte) bool { return true },
 		func([]byte) bool { return true })
 
-	x, err := pair.a.send("peer", nil, [][]byte{[]byte("orphaned")})
+	x, err := pair.a.send(testPeer, [][]byte{[]byte("orphaned")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +451,7 @@ func TestARQCloseFailsPending(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("close never failed the pending transfer")
 	}
-	if _, err := pair.a.send("peer", nil, [][]byte{[]byte("late")}); !errors.Is(err, ErrLinkClosed) {
+	if _, err := pair.a.send(testPeer, [][]byte{[]byte("late")}); !errors.Is(err, ErrLinkClosed) {
 		t.Errorf("send after close: err = %v, want ErrLinkClosed", err)
 	}
 	pair.b.close()
@@ -459,7 +462,7 @@ func TestARQReceiverDedupes(t *testing.T) {
 	cfg := fastARQ()
 	var acks [][]byte
 	var mu sync.Mutex
-	a := newARQ(cfg, func(_ *net.UDPAddr, d []byte) error {
+	a := newARQ(cfg, func(_ netip.AddrPort, d []byte) error {
 		mu.Lock()
 		acks = append(acks, append([]byte(nil), d...))
 		mu.Unlock()
@@ -470,8 +473,8 @@ func TestARQReceiverDedupes(t *testing.T) {
 	delivered := 0
 	deliver := func([]byte) bool { delivered++; return true }
 	seg := encodeRel(1, 0, 2, []byte("dup-me"))
-	a.handleRel("p", nil, seg, deliver)
-	a.handleRel("p", nil, seg, deliver)
+	a.handleRel(testPeer, seg, deliver)
+	a.handleRel(testPeer, seg, deliver)
 	if delivered != 1 {
 		t.Fatalf("delivered %d times, want 1", delivered)
 	}
@@ -496,7 +499,7 @@ func TestARQCompletedTransferReAcked(t *testing.T) {
 	cfg := fastARQ()
 	var acks int
 	var mu sync.Mutex
-	a := newARQ(cfg, func(_ *net.UDPAddr, d []byte) error {
+	a := newARQ(cfg, func(_ netip.AddrPort, d []byte) error {
 		mu.Lock()
 		acks++
 		mu.Unlock()
@@ -507,10 +510,10 @@ func TestARQCompletedTransferReAcked(t *testing.T) {
 	delivered := 0
 	deliver := func([]byte) bool { delivered++; return true }
 	seg := encodeRel(9, 0, 1, []byte("once"))
-	a.handleRel("p", nil, seg, deliver)
+	a.handleRel(testPeer, seg, deliver)
 	// Late retransmits of a completed transfer: re-acked, not re-delivered.
-	a.handleRel("p", nil, seg, deliver)
-	a.handleRel("p", nil, seg, deliver)
+	a.handleRel(testPeer, seg, deliver)
+	a.handleRel(testPeer, seg, deliver)
 	if delivered != 1 {
 		t.Fatalf("delivered %d times, want 1", delivered)
 	}
@@ -530,7 +533,7 @@ func TestARQRefusedDeliveryNotAcked(t *testing.T) {
 	cfg := fastARQ()
 	var lastAck []byte
 	var mu sync.Mutex
-	a := newARQ(cfg, func(_ *net.UDPAddr, d []byte) error {
+	a := newARQ(cfg, func(_ netip.AddrPort, d []byte) error {
 		mu.Lock()
 		lastAck = append([]byte(nil), d...)
 		mu.Unlock()
@@ -548,7 +551,7 @@ func TestARQRefusedDeliveryNotAcked(t *testing.T) {
 		return true
 	}
 	seg := encodeRel(4, 0, 1, []byte("try-again"))
-	a.handleRel("p", nil, seg, deliver)
+	a.handleRel(testPeer, seg, deliver)
 	mu.Lock()
 	if lastAck != nil {
 		mu.Unlock()
@@ -556,7 +559,7 @@ func TestARQRefusedDeliveryNotAcked(t *testing.T) {
 	}
 	mu.Unlock()
 	refuse = false
-	a.handleRel("p", nil, seg, deliver) // the retransmit
+	a.handleRel(testPeer, seg, deliver) // the retransmit
 	if delivered != 1 {
 		t.Fatalf("delivered %d times, want 1", delivered)
 	}
@@ -578,7 +581,7 @@ func TestARQGapProbeAdvertisesHoles(t *testing.T) {
 	cfg.MaxRetries = 3
 	var mu sync.Mutex
 	var probes [][]byte
-	a := newARQ(cfg, func(_ *net.UDPAddr, d []byte) error {
+	a := newARQ(cfg, func(_ netip.AddrPort, d []byte) error {
 		mu.Lock()
 		probes = append(probes, append([]byte(nil), d...))
 		mu.Unlock()
@@ -587,7 +590,7 @@ func TestARQGapProbeAdvertisesHoles(t *testing.T) {
 	defer a.close()
 
 	seg := encodeRel(2, 1, 3, []byte("middle"))
-	a.handleRel("p", nil, seg, func([]byte) bool { return true })
+	a.handleRel(testPeer, seg, func([]byte) bool { return true })
 	if err := waitFor(func() bool {
 		mu.Lock()
 		defer mu.Unlock()
@@ -616,15 +619,15 @@ func TestARQGapProbeAdvertisesHoles(t *testing.T) {
 }
 
 func TestARQSendValidation(t *testing.T) {
-	a := newARQ(fastARQ(), func(_ *net.UDPAddr, d []byte) error { return nil }, nil)
+	a := newARQ(fastARQ(), func(_ netip.AddrPort, d []byte) error { return nil }, nil)
 	defer a.close()
-	if _, err := a.send("p", nil, nil); err == nil {
+	if _, err := a.send(testPeer, nil); err == nil {
 		t.Error("empty transfer accepted")
 	}
-	if _, err := a.send("p", nil, make([][]byte, maxSegments+1)); err == nil {
+	if _, err := a.send(testPeer, make([][]byte, maxSegments+1)); err == nil {
 		t.Error("oversized transfer accepted")
 	}
-	if _, err := a.send("p", nil, [][]byte{make([]byte, maxRelInner+1)}); err == nil {
+	if _, err := a.send(testPeer, [][]byte{make([]byte, maxRelInner+1)}); err == nil {
 		t.Error("oversized segment accepted")
 	}
 }

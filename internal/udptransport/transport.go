@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"net/netip"
 	"strings"
 	"sync"
 	"time"
@@ -91,8 +92,8 @@ type Transport struct {
 	mu         sync.Mutex
 	ep         core.ServerEndpoint
 	conn       *net.UDPConn
-	addrs      map[string]*net.UDPAddr // client ID -> last UDP address
-	byAddr     map[string]string       // UDP address -> client ID (reverse index)
+	addrs      map[string]netip.AddrPort // client ID -> last UDP address
+	byAddr     map[netip.AddrPort]string // UDP address -> client ID (reverse index)
 	closed     bool
 	workers    int             // ingress pool width; 0 = handle frames inline
 	pool       *dataplane.Pool // set by BindServer when workers > 0
@@ -108,8 +109,8 @@ type Transport struct {
 func NewTransport(listen string) *Transport {
 	return &Transport{
 		listen: listen,
-		addrs:  make(map[string]*net.UDPAddr),
-		byAddr: make(map[string]string),
+		addrs:  make(map[string]netip.AddrPort),
+		byAddr: make(map[netip.AddrPort]string),
 	}
 }
 
@@ -203,12 +204,12 @@ func (t *Transport) ARQStats() ARQStats {
 }
 
 // transmitTo writes one control-path datagram through the send filter.
-func (t *Transport) transmitTo(conn *net.UDPConn, to *net.UDPAddr, datagram []byte) error {
+func (t *Transport) transmitTo(conn *net.UDPConn, to netip.AddrPort, datagram []byte) error {
 	t.mu.Lock()
 	filter := t.filter
 	t.mu.Unlock()
 	raw := func(d []byte) error {
-		_, err := conn.WriteToUDP(d, to)
+		_, err := conn.WriteToUDPAddrPort(d, to)
 		return err
 	}
 	if filter != nil {
@@ -250,14 +251,14 @@ func (t *Transport) BindServer(ep core.ServerEndpoint) error {
 	}
 	t.ep = ep
 	t.conn = conn
-	a := newARQ(t.retransmit, func(to *net.UDPAddr, datagram []byte) error {
+	a := newARQ(t.retransmit, func(to netip.AddrPort, datagram []byte) error {
 		return t.transmitTo(conn, to, datagram)
 	}, t.logf)
 	t.arq = a
 	if t.workers > 0 {
 		t.pool = dataplane.NewPool(t.workers, 0, func(clientID string, frame []byte) {
-			if err := ep.HandleFrame(clientID, frame); err != nil {
-				t.logf("frame from %s: %v", clientID, err)
+			if err := ep.HandleFrame(clientID, frame); err != nil && t.Logf != nil {
+				t.Logf("frame from %s: %v", clientID, err)
 			}
 		})
 		// Receive buffers travel with their frames through the worker
@@ -286,7 +287,7 @@ func (t *Transport) serve(conn *net.UDPConn, ep core.ServerEndpoint, a *arq) {
 	buf := wire.GetBuffer(MaxDatagram)
 	defer func() { wire.PutBuffer(buf) }()
 	for {
-		n, from, err := conn.ReadFromUDP(buf[:MaxDatagram])
+		n, from, err := conn.ReadFromUDPAddrPort(buf[:MaxDatagram])
 		if err != nil {
 			t.mu.Lock()
 			closed := t.closed
@@ -313,21 +314,21 @@ func (t *Transport) serve(conn *net.UDPConn, ep core.ServerEndpoint, a *arq) {
 			// Unwrap, acknowledge and deduplicate; on first delivery run
 			// the control handler and push its response (single datagram
 			// or a whole chunked configuration) as a reliable transfer.
-			a.handleRel(from.String(), from, buf[:n], func(inner []byte) bool {
+			a.handleRel(from, buf[:n], func(inner []byte) bool {
 				innerType, innerBody, err := Decode(inner)
 				if err != nil || innerType == MsgFrame || innerType == MsgControl {
 					return true // swallow: never re-deliver garbage
 				}
 				resp := t.handle(ep, innerType, innerBody, from)
 				if len(resp) > 0 {
-					if _, err := a.send(from.String(), from, resp); err != nil {
+					if _, err := a.send(from, resp); err != nil {
 						t.logf("udptransport: reliable reply to %s: %v", from, err)
 					}
 				}
 				return true
 			})
 		case MsgAck:
-			a.handleAck(from.String(), buf[:n])
+			a.handleAck(from, buf[:n])
 		}
 		// Anything else is control that arrived outside a reliable
 		// envelope, or an unknown type: dropped, never answered.
@@ -341,17 +342,21 @@ func (t *Transport) serve(conn *net.UDPConn, ep core.ServerEndpoint, a *arq) {
 // it returns — the buffer is only reused for the next datagram afterwards,
 // which is the aliasing guarantee the old per-datagram copy bought, now
 // for free. Control-class frames (MsgControl) are submitted past the
-// shedding watermark so a data flood cannot starve them.
-func (t *Transport) dispatchFrame(ep core.ServerEndpoint, body, owner []byte, from *net.UDPAddr, control bool) bool {
+// shedding watermark so a data flood cannot starve them. The per-datagram
+// log lines test Logf themselves instead of going through logf: boxing
+// their arguments would allocate per dropped frame with nobody listening.
+func (t *Transport) dispatchFrame(ep core.ServerEndpoint, body, owner []byte, from netip.AddrPort, control bool) bool {
 	t.mu.Lock()
-	clientID := t.byAddr[from.String()]
+	clientID := t.byAddr[from]
 	pool := t.pool
 	t.mu.Unlock()
 	if clientID == "" {
 		// Data frames are fire-and-forget: replying with MsgError would
 		// land in the sender's control queue and poison its next control
 		// round trip, so just drop and log.
-		t.logf("udptransport: frame from unknown address %s dropped", from)
+		if t.Logf != nil {
+			t.Logf("udptransport: frame from unknown address %s dropped", from)
+		}
 		return false
 	}
 	if pool != nil {
@@ -360,21 +365,35 @@ func (t *Transport) dispatchFrame(ep core.ServerEndpoint, body, owner []byte, fr
 			submit = pool.SubmitControlOwned
 		}
 		if !submit(clientID, body, owner) {
-			t.logf("udptransport: ingress queue full, frame from %s shed", clientID)
+			if t.Logf != nil {
+				t.Logf("udptransport: ingress queue full, frame from %s shed", clientID)
+			}
 			return false
 		}
 		return true
 	}
-	if err := ep.HandleFrame(clientID, body); err != nil {
-		t.logf("frame from %s: %v", clientID, err)
+	if err := ep.HandleFrame(clientID, body); err != nil && t.Logf != nil {
+		t.Logf("frame from %s: %v", clientID, err)
 	}
 	return false
+}
+
+// bindAddr records the address a client's handshake or resume came from,
+// dropping the reverse entry of the address it had before.
+func (t *Transport) bindAddr(clientID string, from netip.AddrPort) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if prev, ok := t.addrs[clientID]; ok {
+		delete(t.byAddr, prev)
+	}
+	t.addrs[clientID] = from
+	t.byAddr[from] = clientID
 }
 
 // handle processes one control message and returns the response datagrams
 // (nil for none; a configuration fetch yields the whole chunk list), which
 // the caller pushes back as one reliable transfer.
-func (t *Transport) handle(ep core.ServerEndpoint, msgType byte, body []byte, from *net.UDPAddr) [][]byte {
+func (t *Transport) handle(ep core.ServerEndpoint, msgType byte, body []byte, from netip.AddrPort) [][]byte {
 	one := func(d []byte) [][]byte { return [][]byte{d} }
 	switch msgType {
 	case MsgRegister:
@@ -414,13 +433,7 @@ func (t *Transport) handle(ep core.ServerEndpoint, msgType byte, body []byte, fr
 		if err != nil {
 			return one(Errorf("handshake refused: %v", err))
 		}
-		t.mu.Lock()
-		if prev, ok := t.addrs[hello.ClientID]; ok {
-			delete(t.byAddr, prev.String())
-		}
-		t.addrs[hello.ClientID] = from
-		t.byAddr[from.String()] = hello.ClientID
-		t.mu.Unlock()
+		t.bindAddr(hello.ClientID, from)
 		resp, err := EncodeJSON(MsgServerHello, sh)
 		if err != nil {
 			return one(Errorf("server hello: %v", err))
@@ -439,13 +452,7 @@ func (t *Transport) handle(ep core.ServerEndpoint, msgType byte, body []byte, fr
 		}
 		// The resumed session's frames will come from this address; rebind
 		// it exactly like a fresh handshake does.
-		t.mu.Lock()
-		if prev, ok := t.addrs[req.ClientID]; ok {
-			delete(t.byAddr, prev.String())
-		}
-		t.addrs[req.ClientID] = from
-		t.byAddr[from.String()] = req.ClientID
-		t.mu.Unlock()
+		t.bindAddr(req.ClientID, from)
 		resp, err := EncodeJSON(MsgResumeOK, reply)
 		if err != nil {
 			return one(Errorf("resume reply: %v", err))
@@ -473,10 +480,18 @@ func (t *Transport) handle(ep core.ServerEndpoint, msgType byte, body []byte, fr
 	}
 }
 
+// frameDatagram assembles a data-channel datagram (type byte + sealed frame)
+// in a pooled buffer. It is lent to the socket write — the kernel copies it
+// out — and the caller returns it with wire.PutBuffer straight after.
+func frameDatagram(msgType byte, frame []byte) []byte {
+	msg := wire.GetBuffer(1 + len(frame))
+	msg[0] = msgType
+	copy(msg[1:], frame)
+	return msg
+}
+
 // SendToClient implements core.Transport: push a sealed frame to a client's
-// last known address. The datagram is assembled in a pooled buffer (the
-// kernel copies it out during WriteToUDP) and the caller keeps ownership
-// of frame.
+// last known address. The caller keeps ownership of frame.
 func (t *Transport) SendToClient(clientID string, frame []byte) error {
 	t.mu.Lock()
 	addr, ok := t.addrs[clientID]
@@ -488,10 +503,8 @@ func (t *Transport) SendToClient(clientID string, frame []byte) error {
 	if !ok {
 		return fmt.Errorf("udptransport: no address for client %q", clientID)
 	}
-	msg := wire.GetBuffer(1 + len(frame))
-	msg[0] = MsgFrame
-	copy(msg[1:], frame)
-	_, err := conn.WriteToUDP(msg, addr)
+	msg := frameDatagram(MsgFrame, frame)
+	_, err := conn.WriteToUDPAddrPort(msg, addr)
 	wire.PutBuffer(msg)
 	return err
 }
@@ -609,7 +622,7 @@ func Dial(ctx context.Context, server string, opts ...DialOption) (*Link, error)
 	for _, opt := range opts {
 		opt(l)
 	}
-	l.arq = newARQ(l.cfg, func(_ *net.UDPAddr, datagram []byte) error {
+	l.arq = newARQ(l.cfg, func(_ netip.AddrPort, datagram []byte) error {
 		return l.send(datagram)
 	}, nil)
 	go l.readLoop()
@@ -661,7 +674,7 @@ func (l *Link) readLoop() {
 			// acknowledge. A full control queue refuses delivery, which
 			// withholds the ack — the server retransmits, so nothing
 			// acknowledged is ever shed.
-			l.arq.handleRel("", nil, buf[:n], func(inner []byte) bool {
+			l.arq.handleRel(netip.AddrPort{}, buf[:n], func(inner []byte) bool {
 				msg := append([]byte(nil), inner...)
 				select {
 				case l.control <- msg:
@@ -671,7 +684,7 @@ func (l *Link) readLoop() {
 				}
 			})
 		case MsgAck:
-			l.arq.handleAck("", buf[:n])
+			l.arq.handleAck(netip.AddrPort{}, buf[:n])
 		}
 		// The server only ever sends control inside reliable envelopes;
 		// anything else is dropped.
@@ -697,7 +710,7 @@ func (l *Link) request(ctx context.Context, datagram []byte) (byte, []byte, erro
 	l.ctrlMu.Lock()
 	defer l.ctrlMu.Unlock()
 	l.drainControl()
-	x, err := l.arq.send("", nil, [][]byte{datagram})
+	x, err := l.arq.send(netip.AddrPort{}, [][]byte{datagram})
 	if err != nil {
 		return 0, nil, err
 	}
@@ -814,7 +827,7 @@ func (l *Link) FetchConfig(ctx context.Context, version uint64) ([]byte, error) 
 	l.drainControl()
 	var v [8]byte
 	binary.BigEndian.PutUint64(v[:], version)
-	x, err := l.arq.send("", nil, [][]byte{Encode(MsgFetch, v[:])})
+	x, err := l.arq.send(netip.AddrPort{}, [][]byte{Encode(MsgFetch, v[:])})
 	if err != nil {
 		return nil, err
 	}
@@ -857,8 +870,7 @@ func (l *Link) FetchConfig(ctx context.Context, version uint64) ([]byte, error) 
 
 // SendFrame implements core.ClientLink.
 func (l *Link) SendFrame(frame []byte) error {
-	_, err := l.conn.Write(Encode(MsgFrame, frame))
-	return err
+	return l.writeFrame(MsgFrame, frame)
 }
 
 // SendControlFrame implements core.ControlLink: send one sealed frame in
@@ -866,7 +878,13 @@ func (l *Link) SendFrame(frame []byte) error {
 // ingress pool past the shedding watermark, so keepalive pings, nacks and
 // health reports keep arriving while a flood is shedding data frames.
 func (l *Link) SendControlFrame(frame []byte) error {
-	_, err := l.conn.Write(Encode(MsgControl, frame))
+	return l.writeFrame(MsgControl, frame)
+}
+
+func (l *Link) writeFrame(msgType byte, frame []byte) error {
+	msg := frameDatagram(msgType, frame)
+	_, err := l.conn.Write(msg)
+	wire.PutBuffer(msg)
 	return err
 }
 

@@ -5,12 +5,14 @@ import (
 	"context"
 	"crypto/ed25519"
 	"fmt"
+	"net/netip"
 	"sync"
 	"testing"
 	"time"
 
 	"endbox/internal/attest"
 	"endbox/internal/core"
+	"endbox/internal/dataplane"
 	"endbox/internal/vpn"
 )
 
@@ -313,6 +315,53 @@ func TestWorkerPoolIngress(t *testing.T) {
 				t.Fatalf("%s frame %d out of order: %q (want %q)", id, j, f, want)
 			}
 		}
+	}
+}
+
+// TestFloodPathsAllocateNothing pins the two per-datagram drop paths — a
+// frame from an address no client is bound to, and a frame shed at the
+// ingress watermark — at zero allocations when no Logf is installed: the
+// server must not pay the allocator per frame exactly while it is shedding.
+func TestFloodPathsAllocateNothing(t *testing.T) {
+	ep := &fakeEndpoint{}
+	tr := NewTransport(":0")
+	known := netip.MustParseAddrPort("192.0.2.7:4000")
+	stranger := netip.MustParseAddrPort("198.51.100.9:4000")
+	tr.bindAddr("flooder", known)
+
+	// One worker stuck in its handler, one frame queued behind it: the
+	// queue sits at the watermark, so every further data frame is shed.
+	entered, unblock := make(chan struct{}, 2), make(chan struct{})
+	pool := dataplane.NewPool(1, 4, func(string, []byte) {
+		entered <- struct{}{}
+		<-unblock
+	})
+	pool.SetWatermark(1)
+	defer pool.Close()
+	defer close(unblock)
+	tr.pool = pool
+	datagram := Encode(MsgFrame, []byte("sealed frame"))
+	body := datagram[1:]
+	if !tr.dispatchFrame(ep, body, datagram, known, false) {
+		t.Fatal("first frame not queued")
+	}
+	<-entered
+	if !tr.dispatchFrame(ep, body, datagram, known, false) {
+		t.Fatal("second frame not queued")
+	}
+
+	for name, from := range map[string]netip.AddrPort{"unknown source": stranger, "shed frame": known} {
+		allocs := testing.AllocsPerRun(200, func() {
+			if tr.dispatchFrame(ep, body, datagram, from, false) {
+				t.Fatal("dropped frame took ownership of the receive buffer")
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.1f allocs per dropped frame, want 0", name, allocs)
+		}
+	}
+	if shed := pool.Stats().Shed; shed < 200 {
+		t.Errorf("pool shed %d frames, want >= 200", shed)
 	}
 }
 
